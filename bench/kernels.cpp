@@ -113,66 +113,6 @@ void BM_Viterbi(benchmark::State& state) {
 }
 BENCHMARK(BM_Viterbi)->Arg(1)->Arg(2);
 
-/// Pruned/quantized decode variants: Args are {beam, quantized?} on the
-/// order-2 space (where pruning actually pays — 9 states vs 3).
-crf::DecodeOptions pruned_options(benchmark::State& state,
-                                  crf::LinearChainCrf& model) {
-  crf::DecodeOptions options;
-  options.beam = static_cast<std::size_t>(state.range(0));
-  options.posterior_threshold = 1e-3;
-  if (state.range(1)) {
-    options.quantization = crf::Quantization::kInt16;
-    model.prepare_quantization(crf::Quantization::kInt16);
-  }
-  state.SetLabel("beam " + std::to_string(state.range(0)) +
-                 (state.range(1) ? " int16" : " float"));
-  return options;
-}
-
-void BM_ViterbiPruned(benchmark::State& state) {
-  util::Rng rng(2);  // same seed as BM_Viterbi: directly comparable numbers
-  const auto space = crf::StateSpace::order2();
-  constexpr std::size_t kFeatures = 5000;
-  auto model = random_model(space, kFeatures, rng);
-  const auto pool = sentence_pool(64, kFeatures, rng);
-  const auto options = pruned_options(state, model);
-  crf::LinearChainCrf::Scratch scratch;
-  std::vector<double> samples_us;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    const auto begin = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(model.viterbi(pool[next], scratch, options));
-    samples_us.push_back(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - begin)
-                             .count());
-    next = (next + 1) % pool.size();
-  }
-  record_percentiles(state, samples_us);
-}
-BENCHMARK(BM_ViterbiPruned)->Args({16, 0})->Args({8, 0})->Args({4, 0})->Args({4, 1});
-
-void BM_ForwardBackwardPruned(benchmark::State& state) {
-  util::Rng rng(1);  // same seed as BM_ForwardBackward
-  const auto space = crf::StateSpace::order2();
-  constexpr std::size_t kFeatures = 5000;
-  auto model = random_model(space, kFeatures, rng);
-  const auto pool = sentence_pool(64, kFeatures, rng);
-  const auto options = pruned_options(state, model);
-  crf::LinearChainCrf::Scratch scratch;
-  std::vector<double> samples_us;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    const auto begin = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(model.posteriors(pool[next], scratch, options));
-    samples_us.push_back(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - begin)
-                             .count());
-    next = (next + 1) % pool.size();
-  }
-  record_percentiles(state, samples_us);
-}
-BENCHMARK(BM_ForwardBackwardPruned)->Args({16, 0})->Args({8, 0})->Args({4, 0})->Args({4, 1});
-
 void BM_CrfGradient(benchmark::State& state) {
   util::Rng rng(3);
   const auto space = crf::StateSpace::order2();

@@ -24,7 +24,6 @@
 // answered exactly once.
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -73,28 +72,7 @@ int main(int argc, char** argv) {
   auto metrics_format = cli.flag<std::string>(
       "metrics-format", "",
       "with --metrics: json | tsv | prom (empty = legacy service JSON)");
-  auto beam = cli.flag<std::size_t>(
-      "beam", 0, "ask the server to decode with this beam (0 = its default)");
-  auto posterior_threshold = cli.flag<double>(
-      "posterior-threshold", 0.0, "server-side posterior pruning threshold");
-  auto quantized = cli.flag<std::string>(
-      "quantized", "", "server-side emission quantization: off | int16 | int8");
   cli.parse(argc, argv);
-
-  // Connection-scoped decode override, sent as a "#DECODE" control line
-  // right after every (re)connect. It draws no reply, so the pipelined
-  // request/response accounting below is untouched.
-  std::string decode_line;
-  if (*beam > 0 || *posterior_threshold > 0.0 || !quantized->empty()) {
-    decode_line = "#DECODE";
-    if (*beam > 0) decode_line += " beam=" + std::to_string(*beam);
-    if (*posterior_threshold > 0.0) {
-      std::ostringstream threshold;
-      threshold << *posterior_threshold;
-      decode_line += " threshold=" + threshold.str();
-    }
-    if (!quantized->empty()) decode_line += " quantized=" + *quantized;
-  }
 
   util::BackoffPolicy connect_policy;
   connect_policy.initial = std::chrono::milliseconds(100);
@@ -171,7 +149,6 @@ int main(int argc, char** argv) {
         try {
           serve::ClientConnection connection;
           connection.connect(*host, *port, connect_policy);
-          if (!decode_line.empty()) connection.send_line(decode_line);
           int reconnects_left = *reconnect;
           std::string suffix =
               *deadline_ms > 0 ? "@" + std::to_string(*deadline_ms) : "";
@@ -207,9 +184,6 @@ int main(int argc, char** argv) {
                 if (reconnects_left <= 0) throw;
                 --reconnects_left;
                 connection.connect(*host, *port, connect_policy);
-                // The override is connection state — re-assert it before
-                // resending the unanswered tail.
-                if (!decode_line.empty()) connection.send_line(decode_line);
               }
             }
           }

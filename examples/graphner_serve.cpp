@@ -103,27 +103,10 @@ int main(int argc, char** argv) {
   auto metrics_every = cli.flag<long>(
       "metrics-dump-every", 0,
       "dump the Prometheus metrics snapshot to stderr every N seconds (0 = off)");
-  auto beam = cli.flag<std::size_t>(
-      "beam", 0, "max active CRF states per position (0 = exact decode)");
-  auto posterior_threshold = cli.flag<double>(
-      "posterior-threshold", 0.0,
-      "prune states below this order-0 tag posterior (0 = keep all)");
-  auto quantized = cli.flag<std::string>(
-      "quantized", "off", "emission weight storage: off | int16 | int8");
   cli.parse(argc, argv);
 
   try {
     auto model = obtain_model(*load_model, *dir, *profile, *checkpoint_dir);
-    crf::DecodeOptions decode;
-    decode.beam = *beam;
-    decode.posterior_threshold = *posterior_threshold;
-    decode.quantization = crf::parse_quantization(*quantized);
-    // Configured before any decode (offline pass or service workers):
-    // quantized tables build here, once, and the decode.config.* gauges
-    // the #METRICS scrape echoes are published.
-    model.set_decode_options(decode);
-    if (!decode.exact())
-      std::cerr << "graphner_serve: decode " << decode.to_string() << '\n';
     if (!save_model->empty()) {
       model.save_file(*save_model);  // atomic: tmp + fsync + rename
       std::cerr << "saved model to " << *save_model << '\n';

@@ -73,18 +73,11 @@ void LinearChainCrf::rebuild_weight_caches() {
   }
   const auto& out_edges = space_.outgoing_edges();
   exp_trans_out_.resize(out_edges.size());
-  trans_out_.resize(out_edges.size());
-  for (std::size_t e = 0; e < out_edges.size(); ++e) {
+  for (std::size_t e = 0; e < out_edges.size(); ++e)
     exp_trans_out_[e] = exp_trans_slot_[out_edges[e].slot];
-    trans_out_[e] = trans[out_edges[e].slot];
-  }
 
   exp_start_.assign(space_.num_states(), 0.0);
   for (const StateId s : space_.start_states()) exp_start_[s] = std::exp(start[s]);
-
-  // Keep the decode-time tables (reachability masks, any prepared quantized
-  // weights) in sync with the live weights; see src/crf/pruned.cpp.
-  rebuild_decode_tables();
 }
 
 namespace {
@@ -152,14 +145,9 @@ void LinearChainCrf::emission_scores(const EncodedSentence& sentence,
 void LinearChainCrf::run_forward_backward(const EncodedSentence& sentence,
                                           Scratch& sc) const {
   assert(sentence.size() > 0);
-  emission_scores(sentence, sc.emit);
-  forward_backward_from_emit(sentence, sc);
-}
-
-void LinearChainCrf::forward_backward_from_emit(const EncodedSentence& sentence,
-                                                Scratch& sc) const {
   const std::size_t n = sentence.size();
   const std::size_t S = space_.num_states();
+  emission_scores(sentence, sc.emit);
 
   sc.psi.resize(n * S);
   sc.alpha.resize(n * S);
@@ -401,10 +389,11 @@ double LinearChainCrf::log_likelihood(const EncodedSentence& sentence,
   return log_likelihood(sentence, grad, scratch);
 }
 
-SentencePosteriors LinearChainCrf::fold_posteriors(const EncodedSentence& sentence,
-                                                   const Scratch& sc) const {
+SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
+                                              Scratch& sc) const {
   const std::size_t n = sentence.size();
   const std::size_t S = space_.num_states();
+  run_forward_backward(sentence, sc);
 
   const std::size_t L = space_.num_labels();
   SentencePosteriors out;
@@ -429,53 +418,6 @@ SentencePosteriors LinearChainCrf::fold_posteriors(const EncodedSentence& senten
     util::normalize_inplace(cell);
   }
   return out;
-}
-
-SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
-                                              Scratch& sc) const {
-  return posteriors(sentence, sc, decode_options_);
-}
-
-DecodeOptions LinearChainCrf::effective_options(const DecodeOptions& options) const {
-  DecodeOptions eff = options;
-  if (!quantization_ready(eff.quantization)) eff.quantization = Quantization::kFloat;
-  // A beam at least as wide as the state space can never drop a state, so
-  // treat it as no beam at all: the dense recurrence gives the same answer
-  // without paying for active-set bookkeeping.
-  if (eff.beam >= space_.num_states()) eff.beam = 0;
-  // The pruned kernels track reachability in 32-bit state masks (in_mask_,
-  // start_mask_); spaces wider than 32 states (multi-entity order 2) decode
-  // through the exact dense path instead.
-  if (space_.num_states() > 32) {
-    eff.beam = 0;
-    eff.posterior_threshold = 0.0;
-  }
-  return eff;
-}
-
-SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
-                                              Scratch& sc,
-                                              const DecodeOptions& options) const {
-  const DecodeOptions eff = effective_options(options);
-  if (eff.exact()) {
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states =
-        sentence.size() * space_.num_states();
-    run_forward_backward(sentence, sc);
-    return fold_posteriors(sentence, sc);
-  }
-  if (!eff.prunes()) {
-    // Quantized but unpruned: the exact recurrence over the quantized
-    // emission lattice, with none of the active-set bookkeeping.
-    emission_scores(sentence, eff.quantization, sc.emit);
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states = sentence.size() * space_.num_states();
-    forward_backward_from_emit(sentence, sc);
-  } else {
-    run_forward_backward_pruned(sentence, eff, sc);
-  }
-  publish_prune_stats(sc);
-  return fold_posteriors(sentence, sc);
 }
 
 SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence) const {
@@ -506,17 +448,12 @@ void LinearChainCrf::accumulate_tag_transition_expectations(
   accumulate_tag_transition_expectations(sentence, counts, scratch);
 }
 
-std::vector<text::Tag> LinearChainCrf::viterbi_exact(const EncodedSentence& sentence,
-                                                     Scratch& sc) const {
+std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence,
+                                               Scratch& sc) const {
   assert(sentence.size() > 0);
-  emission_scores(sentence, sc.emit);
-  return viterbi_from_emit(sentence, sc);
-}
-
-std::vector<text::Tag> LinearChainCrf::viterbi_from_emit(
-    const EncodedSentence& sentence, Scratch& sc) const {
   const std::size_t n = sentence.size();
   const std::size_t S = space_.num_states();
+  emission_scores(sentence, sc.emit);
 
   const double* start = wspan_.data() + start_base();
 
@@ -566,34 +503,6 @@ std::vector<text::Tag> LinearChainCrf::viterbi_from_emit(
     tags[i] = space_.tag_of(cur);
     cur = back[i * S + cur];
   }
-  return tags;
-}
-
-std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence,
-                                               Scratch& sc) const {
-  return viterbi(sentence, sc, decode_options_);
-}
-
-std::vector<text::Tag> LinearChainCrf::viterbi(const EncodedSentence& sentence,
-                                               Scratch& sc,
-                                               const DecodeOptions& options) const {
-  const DecodeOptions eff = effective_options(options);
-  if (eff.exact()) {
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states =
-        sentence.size() * space_.num_states();
-    return viterbi_exact(sentence, sc);
-  }
-  std::vector<text::Tag> tags;
-  if (!eff.prunes()) {
-    emission_scores(sentence, eff.quantization, sc.emit);
-    sc.prune = {};
-    sc.prune.active_states = sc.prune.total_states = sentence.size() * space_.num_states();
-    tags = viterbi_from_emit(sentence, sc);
-  } else {
-    tags = viterbi_pruned(sentence, eff, sc);
-  }
-  publish_prune_stats(sc);
   return tags;
 }
 

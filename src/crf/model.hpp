@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/crf/dataset.hpp"
-#include "src/crf/decode_options.hpp"
 #include "src/crf/state_space.hpp"
 #include "src/text/tag.hpp"
 
@@ -62,12 +61,6 @@ class LinearChainCrf {
     std::vector<double> vscore; ///< n x S Viterbi scores (log domain)
     std::vector<StateId> vback; ///< n x S Viterbi backpointers
     double log_z = 0.0;
-
-    // Pruned-decode workspace (see src/crf/pruned.cpp). `prune` holds the
-    // outcome of the most recent pruned call on this scratch.
-    std::vector<StateId> active;       ///< concatenated active lists
-    std::vector<std::uint32_t> active_off;  ///< n + 1 offsets into `active`
-    PruneStats prune;
   };
 
   LinearChainCrf(StateSpace space, std::size_t num_features);
@@ -86,7 +79,7 @@ class LinearChainCrf {
   /// every replica of a model then shares one page-cache copy of the
   /// (dominant) emission table. The caller guarantees `w` outlives the CRF
   /// (GraphNerModel keeps the mapping alive). Derived caches (exponentiated
-  /// transitions, quantized tables) are rebuilt into owned storage as usual.
+  /// transitions) are rebuilt into owned storage as usual.
   void set_weights_view(std::span<const double> w);
   /// True when the weight table is a borrowed view (set_weights_view)
   /// rather than heap storage.
@@ -97,14 +90,6 @@ class LinearChainCrf {
   /// Emission lattice: out[i * S + s] = sum of active feature weights.
   void emission_scores(const EncodedSentence& sentence,
                        std::vector<double>& out) const;
-  /// Emission lattice under a specific weight storage: kFloat runs the
-  /// exact kernel above (same scores, same summation order), int16/int8 the
-  /// dense pass over the prepared quantized table. Exposed so tests and
-  /// benches can bound quantization drift at the score level; the decode
-  /// entry points use it internally (src/crf/pruned.cpp).
-  void emission_scores(const EncodedSentence& sentence, Quantization quantization,
-                       std::vector<double>& out) const;
-
   /// Conditional log-likelihood of the gold states; if `grad` is non-null,
   /// accumulates d(logL)/dw into it (same layout as weights()).
   double log_likelihood(const EncodedSentence& sentence, std::span<double> grad,
@@ -112,41 +97,10 @@ class LinearChainCrf {
   double log_likelihood(const EncodedSentence& sentence,
                         std::span<double> grad = {}) const;
 
-  // --- decode configuration (pruning + quantization, DESIGN.md §10) ---
-
-  /// Default options for posteriors()/viterbi(). Also prepares whatever the
-  /// options need: a non-float quantization builds its weight table up
-  /// front (so the first decode pays nothing). NOT thread-safe against
-  /// concurrent decodes — configure before sharing the model across
-  /// workers, like set_weights().
-  void set_decode_options(const DecodeOptions& options);
-  [[nodiscard]] const DecodeOptions& decode_options() const noexcept {
-    return decode_options_;
-  }
-  /// Build (or rebuild) the int16/int8 emission table so per-call options
-  /// may request that mode. kFloat drops the tables. Implied by
-  /// set_decode_options when its options quantize.
-  void prepare_quantization(Quantization mode);
-  /// True when decode options/overrides asking for `mode` will actually use
-  /// it (the table has been prepared).
-  [[nodiscard]] bool quantization_ready(Quantization mode) const noexcept {
-    if (mode == Quantization::kInt16) return !quant16_.empty();
-    if (mode == Quantization::kInt8) return !quant8_.empty();
-    return true;
-  }
-  /// Max absolute emission-weight error introduced by the most recently
-  /// prepared quantized table (0 when none); published as the
-  /// decode.quant_drift gauge.
-  [[nodiscard]] double quantization_drift() const noexcept { return quant_drift_; }
-
-  /// Tag-level posterior marginals (states folded down to tags). The
-  /// two-argument forms decode under decode_options(); the explicit-options
-  /// forms are per-call overrides (serving wire flags, benches).
+  /// Tag-level posterior marginals (states folded down to tags).
   SentencePosteriors posteriors(const EncodedSentence& sentence,
                                 Scratch& scratch) const;
   [[nodiscard]] SentencePosteriors posteriors(const EncodedSentence& sentence) const;
-  SentencePosteriors posteriors(const EncodedSentence& sentence, Scratch& scratch,
-                                const DecodeOptions& options) const;
 
   /// Expected tag-bigram counts E[count(t at i-1, t' at i)] summed over the
   /// sentence, added into `counts` (L x L row-major, sized to the space's
@@ -158,12 +112,10 @@ class LinearChainCrf {
   void accumulate_tag_transition_expectations(const EncodedSentence& sentence,
                                               text::LabelMatrix& counts) const;
 
-  /// MAP decode to tags (same options contract as posteriors()).
+  /// MAP decode to tags.
   std::vector<text::Tag> viterbi(const EncodedSentence& sentence,
                                  Scratch& scratch) const;
   [[nodiscard]] std::vector<text::Tag> viterbi(const EncodedSentence& sentence) const;
-  std::vector<text::Tag> viterbi(const EncodedSentence& sentence, Scratch& scratch,
-                                 const DecodeOptions& options) const;
 
   // --- weight slot helpers (shared with the trainer) ---
   [[nodiscard]] std::size_t emission_slot(FeatureIndex::Id f, StateId s) const noexcept {
@@ -177,19 +129,11 @@ class LinearChainCrf {
   }
 
  private:
-  /// Normalize per-call decode options: downgrade quantization modes whose
-  /// tables are not prepared, and erase beams as wide as the state space
-  /// (they can never drop a state, so the dense path is strictly better).
-  [[nodiscard]] DecodeOptions effective_options(const DecodeOptions& options) const;
   /// Scaled linear-domain forward-backward. Postcondition (shared with the
   /// log-space fallback): sc.log_z, sc.node (n x S node marginals) and
   /// sc.pair (n x |transitions()| edge marginals, row 0 unused) are filled;
   /// everything else in the scratch is internal workspace.
   void run_forward_backward(const EncodedSentence& sentence, Scratch& sc) const;
-  /// The recurrence half of run_forward_backward: assumes sc.emit is already
-  /// filled (by either emission kernel), so quantized-but-unpruned decodes
-  /// and pruning fallbacks can reuse the lattice they already paid for.
-  void forward_backward_from_emit(const EncodedSentence& sentence, Scratch& sc) const;
   /// Log-space recurrences for sentences whose scaled lattice degenerates
   /// (a position where the forward row underflows behind a constraint).
   /// Fills node/pair directly from the log-domain lattice: the factored
@@ -200,38 +144,6 @@ class LinearChainCrf {
                                      Scratch& sc) const;
   /// Recompute exp(transition)/exp(start) caches after a weight change.
   void rebuild_weight_caches();
-
-  // --- pruned / quantized decode internals (src/crf/pruned.cpp) ---
-
-  /// Pruned counterparts of the exact kernels. Pruning is fused into the
-  /// forward recurrences (beam search on true forward scores / masses, not
-  /// a pre-pass proxy); survivors per position are recorded in
-  /// sc.active/active_off. Shared postcondition with run_forward_backward:
-  /// sc.log_z / sc.node / sc.pair filled (pruned entries zero). Both fall
-  /// back to the exact kernels when pruning degenerates, recording it in
-  /// sc.prune.
-  void run_forward_backward_pruned(const EncodedSentence& sentence,
-                                   const DecodeOptions& options, Scratch& sc) const;
-  std::vector<text::Tag> viterbi_pruned(const EncodedSentence& sentence,
-                                        const DecodeOptions& options,
-                                        Scratch& sc) const;
-  /// The pre-pruning exact kernels, unchanged; what exact options (and the
-  /// pruned fallbacks) dispatch to.
-  std::vector<text::Tag> viterbi_exact(const EncodedSentence& sentence,
-                                       Scratch& sc) const;
-  /// Recurrence half of viterbi_exact over a pre-filled sc.emit (same reuse
-  /// contract as forward_backward_from_emit).
-  std::vector<text::Tag> viterbi_from_emit(const EncodedSentence& sentence,
-                                           Scratch& sc) const;
-  /// Fold sc.node / sc.pair (filled by any forward-backward flavour) down to
-  /// tag-level marginals.
-  [[nodiscard]] SentencePosteriors fold_posteriors(const EncodedSentence& sentence,
-                                                   const Scratch& sc) const;
-  /// Refresh the reachability masks and any prepared quantized table after
-  /// a weight change.
-  void rebuild_decode_tables();
-  /// Publish sc.prune to the obs registry after a pruned decode.
-  void publish_prune_stats(const Scratch& sc) const;
 
   StateSpace space_;
   std::size_t num_features_;
@@ -247,25 +159,11 @@ class LinearChainCrf {
   std::vector<double> exp_trans_in_;    ///< incoming CSR edge order
   std::vector<double> exp_trans_out_;   ///< outgoing CSR edge order
   std::vector<double> trans_in_;        ///< raw weights, incoming CSR order
-  std::vector<double> trans_out_;       ///< raw weights, outgoing CSR order
   std::vector<double> exp_start_;       ///< per state; 0 for illegal starts
 
   // Space-derived lookup tables, built once in the constructor.
   std::vector<std::uint8_t> state_tag_idx_;   ///< tag index per state
   std::vector<std::uint8_t> slot_tag_pair_;   ///< tag_from * num_labels + tag_to
-
-  // Decode-time tables (DESIGN.md §10), refreshed alongside the weight
-  // caches by rebuild_decode_tables().
-  DecodeOptions decode_options_{};
-  std::vector<std::uint32_t> in_mask_;  ///< per state: bitmask of CSR predecessors
-  std::uint32_t start_mask_ = 0;        ///< bitmask of legal start states
-  // Quantized emission tables (num_features x S, feature-row scales beside
-  // them); empty until prepare_quantization() builds them.
-  std::vector<std::int16_t> quant16_;
-  std::vector<float> quant_scale16_;
-  std::vector<std::int8_t> quant8_;
-  std::vector<float> quant_scale8_;
-  double quant_drift_ = 0.0;
 };
 
 }  // namespace graphner::crf

@@ -256,15 +256,6 @@ void GraphNerModel::load_head(std::istream& in, GraphNerModel& model) {
   model.crf_ = std::make_shared<crf::LinearChainCrf>(space, model.index_->size());
 }
 
-GraphNerModel GraphNerModel::load(std::istream& in,
-                                  const crf::DecodeOptions& options) {
-  GraphNerModel model = load(in);
-  // Quantized tables are calibrated here, before any worker sees the model,
-  // so the first decode pays nothing and workers never mutate it.
-  model.set_decode_options(options);
-  return model;
-}
-
 void GraphNerModel::save_file(const std::string& path) const {
   util::atomic_save(path, [this](std::ostream& out) { save(out); });
 }
@@ -273,13 +264,6 @@ GraphNerModel GraphNerModel::load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot read model " + path);
   return load(in);
-}
-
-GraphNerModel GraphNerModel::load_file(const std::string& path,
-                                       const crf::DecodeOptions& options) {
-  GraphNerModel model = load_file(path);
-  model.set_decode_options(options);
-  return model;
 }
 
 }  // namespace graphner::core

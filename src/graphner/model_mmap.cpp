@@ -345,13 +345,6 @@ GraphNerModel GraphNerModel::load_mmap_file(const std::string& path) {
   return model;
 }
 
-GraphNerModel GraphNerModel::load_mmap_file(const std::string& path,
-                                            const crf::DecodeOptions& options) {
-  GraphNerModel model = load_mmap_file(path);
-  model.set_decode_options(options);
-  return model;
-}
-
 GraphNerModel GraphNerModel::load_auto_file(const std::string& path) {
   std::ifstream probe(path, std::ios::binary);
   if (!probe) throw std::runtime_error("cannot read model " + path);

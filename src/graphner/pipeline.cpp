@@ -10,6 +10,7 @@
 #include "src/graph/vertex_features.hpp"
 #include "src/graphner/checkpoint.hpp"
 #include "src/obs/registry.hpp"
+#include "src/obs/span.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/math.hpp"
 #include "src/util/parallel.hpp"
@@ -72,28 +73,14 @@ namespace {
 
 }  // namespace
 
-TrainingTimings training_timings_from_spans(const obs::SpanCapture& capture) {
-  TrainingTimings timings;
-  timings.brown_seconds = capture.total_seconds("train.brown");
-  timings.word2vec_seconds = capture.total_seconds("train.word2vec");
-  timings.kmeans_seconds = capture.total_seconds("train.kmeans");
-  timings.encode_seconds = capture.total_seconds("train.encode");
-  timings.crf_train_seconds = capture.total_seconds("train.crf");
-  timings.reference_seconds = capture.total_seconds("train.reference");
-  return timings;
-}
-
 GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
                                    const std::vector<text::Sentence>& unlabelled_text,
                                    const GraphNerConfig& config) {
   GraphNerModel model;
   model.config_ = config;
 
-  // Every phase below times itself with a trace span; the capture mirrors
-  // the spans closed on this thread so the legacy TrainingTimings view can
-  // be materialized from the trace at the end (phases that were restored
-  // from a checkpoint open no span and report 0).
-  obs::SpanCapture trace;
+  // Every phase below times itself with a "train.<phase>" trace span
+  // (phases restored from a checkpoint open none).
   obs::ScopedSpan train_span("train");
 
   // Crash-safe phase checkpoints (no-op when checkpoint_dir is empty):
@@ -237,7 +224,6 @@ GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
         ReferenceDistributions::build(labelled, config.labels));
     model.reference_seconds_ = ref_span.close();
   }
-  model.training_timings_ = training_timings_from_spans(trace);
 
   train_span.attr("features", static_cast<std::uint64_t>(model.index_->size()));
   train_span.attr("reference_trigrams",
@@ -252,22 +238,6 @@ GraphNerModel GraphNerModel::train(const std::vector<text::Sentence>& labelled,
                  config.crf_order, " CRF, ", model.index_->size(), " features, ",
                  model.reference_->size(), " reference trigrams");
   return model;
-}
-
-void GraphNerModel::set_decode_options(const crf::DecodeOptions& options) {
-  crf_->set_decode_options(options);
-  // Mirror the active configuration into gauges so a #METRICS scrape (or
-  // the tool's --metrics-json dump) always shows what decodes are running
-  // under. beam 0 means unlimited, matching the wire/CLI convention.
-  auto& reg = obs::Registry::global();
-  reg.gauge("decode.config.beam").set(static_cast<double>(options.beam));
-  reg.gauge("decode.config.posterior_threshold").set(options.posterior_threshold);
-  reg.gauge("decode.config.quantized")
-      .set(static_cast<double>(options.quantization));
-}
-
-const crf::DecodeOptions& GraphNerModel::decode_options() const noexcept {
-  return crf_->decode_options();
 }
 
 std::vector<std::vector<text::Tag>> GraphNerModel::decode_crf(
@@ -285,33 +255,21 @@ std::vector<std::vector<text::Tag>> GraphNerModel::decode_crf(
 std::vector<text::Tag> GraphNerModel::decode_one(
     const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
     features::EncodeScratch& encode) const {
-  return decode_one(sentence, scratch, encode, crf_->decode_options());
-}
-
-std::vector<text::Tag> GraphNerModel::decode_one(
-    const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
-    features::EncodeScratch& encode, const crf::DecodeOptions& options) const {
   if (sentence.size() == 0) return {};
   const crf::EncodedSentence& encoded =
       features::encode_for_inference(sentence, *extractor_, *index_, encode);
-  return crf_->viterbi(encoded, scratch, options);
+  return crf_->viterbi(encoded, scratch);
 }
 
 std::vector<text::Tag> GraphNerModel::decode_one_blended(
     const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
     features::EncodeScratch& encode) const {
-  return decode_one_blended(sentence, scratch, encode, crf_->decode_options());
-}
-
-std::vector<text::Tag> GraphNerModel::decode_one_blended(
-    const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
-    features::EncodeScratch& encode, const crf::DecodeOptions& options) const {
   const std::size_t length = sentence.size();
   if (length == 0) return {};
   const crf::EncodedSentence& encoded =
       features::encode_for_inference(sentence, *extractor_, *index_, encode);
   const crf::SentencePosteriors posterior =
-      crf_->posteriors(encoded, scratch, options);
+      crf_->posteriors(encoded, scratch);
 
   // Algorithm 1 line 8 with X_ref in place of the propagated distributions:
   // positions whose 3-gram was seen labelled get the corpus-level anchor,
@@ -358,7 +316,6 @@ GraphNerModel GraphNerModel::fork_with_learned(
   fork.learned_ = std::move(learned);
   fork.train_seconds_ = train_seconds_;
   fork.reference_seconds_ = reference_seconds_;
-  fork.training_timings_ = training_timings_;
   // Keep any mmap mapping alive for as long as the fork serves from it.
   fork.mapping_ = mapping_;
   fork.map_base_ = map_base_;

@@ -30,7 +30,6 @@
 #include "src/graph/trigram.hpp"
 #include "src/graphner/config.hpp"
 #include "src/graphner/reference.hpp"
-#include "src/obs/span.hpp"
 #include "src/text/sentence.hpp"
 
 namespace graphner::core {
@@ -53,36 +52,6 @@ struct PipelineTimings {
   }
 };
 
-/// Wall-clock breakdown of the TRAIN procedure (embedding phases matter:
-/// at paper scale Brown + word2vec dominate, which is what the windowed /
-/// Hogwild training kernels attack — see DESIGN.md §6).
-///
-/// Deprecated as a measurement mechanism: the phases are now timed by
-/// obs trace spans ("train.brown", "train.word2vec", ...) and this struct
-/// is a thin adapter materialized from them (training_timings_from_spans)
-/// so existing benches keep their typed view. New consumers should read
-/// the spans / the obs registry instead.
-struct TrainingTimings {
-  double brown_seconds = 0.0;
-  double word2vec_seconds = 0.0;
-  double kmeans_seconds = 0.0;
-  double encode_seconds = 0.0;     ///< feature extraction + batch encoding
-  double crf_train_seconds = 0.0;  ///< L-BFGS optimization only
-  double reference_seconds = 0.0;
-
-  [[nodiscard]] double total() const noexcept {
-    return brown_seconds + word2vec_seconds + kmeans_seconds + encode_seconds +
-           crf_train_seconds + reference_seconds;
-  }
-};
-
-/// Materialize the legacy TrainingTimings view from the spans a
-/// SpanCapture mirrored while GraphNerModel::train ran: each field is the
-/// summed duration of the phase's "train.<phase>" spans (0.0 for phases
-/// that did not run — skipped profiles, checkpoint-restored work).
-[[nodiscard]] TrainingTimings training_timings_from_spans(
-    const obs::SpanCapture& capture);
-
 struct GraphNerStats {
   std::size_t vertices = 0;
   std::size_t edges = 0;
@@ -104,15 +73,6 @@ class GraphNerModel {
   GraphNerModel(GraphNerModel&&) noexcept = default;
   GraphNerModel& operator=(GraphNerModel&&) noexcept = default;
 
-  /// Default decode options (pruning + quantization, DESIGN.md §10) for
-  /// every decode / posterior entry point below, including the pipeline's
-  /// corpus-wide posterior passes. Forwards to the CRF (building quantized
-  /// tables eagerly) and publishes the decode.config.* gauges. Configure
-  /// before sharing the model across threads — not safe against concurrent
-  /// decodes, like set_weights.
-  void set_decode_options(const crf::DecodeOptions& options);
-  [[nodiscard]] const crf::DecodeOptions& decode_options() const noexcept;
-
   /// Pure-CRF decode (the paper's baseline rows).
   [[nodiscard]] std::vector<std::vector<text::Tag>> decode_crf(
       const std::vector<text::Sentence>& sentences) const;
@@ -125,11 +85,6 @@ class GraphNerModel {
   [[nodiscard]] std::vector<text::Tag> decode_one(
       const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
       features::EncodeScratch& encode) const;
-  /// Same, decoding under explicit options instead of the model default
-  /// (per-request wire overrides in the serving runtime).
-  [[nodiscard]] std::vector<text::Tag> decode_one(
-      const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
-      features::EncodeScratch& encode, const crf::DecodeOptions& options) const;
 
   /// Single-sentence GraphNER posterior-blend decode: CRF posteriors are
   /// mixed (coefficient alpha, as in Algorithm 1 line 8) with the model's
@@ -143,9 +98,6 @@ class GraphNerModel {
   [[nodiscard]] std::vector<text::Tag> decode_one_blended(
       const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
       features::EncodeScratch& encode) const;
-  [[nodiscard]] std::vector<text::Tag> decode_one_blended(
-      const text::Sentence& sentence, crf::LinearChainCrf::Scratch& scratch,
-      features::EncodeScratch& encode, const crf::DecodeOptions& options) const;
 
   struct TestResult {
     std::vector<std::vector<text::Tag>> baseline_tags;  ///< pure CRF
@@ -234,10 +186,6 @@ class GraphNerModel {
     return gazetteer_.get();
   }
   [[nodiscard]] double train_seconds() const noexcept { return train_seconds_; }
-  /// Per-phase TRAIN wall-clock (zeroed on a load()ed model).
-  [[nodiscard]] const TrainingTimings& training_timings() const noexcept {
-    return training_timings_;
-  }
   [[nodiscard]] std::size_t feature_count() const noexcept { return index_->size(); }
 
   /// Text model format version. v3 adds the "labels" block (the model's
@@ -251,16 +199,11 @@ class GraphNerModel {
   /// output (every unordered table is written sorted).
   void save(std::ostream& out) const;
   static GraphNerModel load(std::istream& in);
-  /// load() then set_decode_options(): quantized tables are built once at
-  /// load time, before the model is shared with any worker.
-  static GraphNerModel load(std::istream& in, const crf::DecodeOptions& options);
 
   /// save() to `path` crash-safely (tmp + fsync + rename): a crash
   /// mid-save leaves the previous complete file, never a torn one.
   void save_file(const std::string& path) const;
   static GraphNerModel load_file(const std::string& path);
-  static GraphNerModel load_file(const std::string& path,
-                                 const crf::DecodeOptions& options);
 
   // --- zero-copy mmap model format (DESIGN.md §11) ---
 
@@ -279,8 +222,6 @@ class GraphNerModel {
   /// order mismatch, misaligned or out-of-bounds sections, fingerprint
   /// mismatch and trailing garbage.
   static GraphNerModel load_mmap_file(const std::string& path);
-  static GraphNerModel load_mmap_file(const std::string& path,
-                                      const crf::DecodeOptions& options);
   /// Sniff the on-disk magic and dispatch to load_mmap_file or load_file.
   static GraphNerModel load_auto_file(const std::string& path);
 
@@ -331,7 +272,6 @@ class GraphNerModel {
   std::shared_ptr<const ReferenceDistributions> learned_;
   double train_seconds_ = 0.0;
   double reference_seconds_ = 0.0;
-  TrainingTimings training_timings_{};
   std::uint64_t fingerprint_ = 0;
   // mmap-loaded models keep their file mapping alive here (the deleter
   // munmaps); the CRF weight span points into [map_base_, map_base_ + map_size_).

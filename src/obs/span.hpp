@@ -20,9 +20,9 @@
 //   [graphner DEBUG] span close train.brown 1.382s
 //
 // SpanCapture additionally mirrors every span closed *on its thread*
-// into a local vector while it is alive — the seam that lets
-// GraphNerModel::train materialize the legacy TrainingTimings struct
-// from the trace instead of threading stopwatches through every phase.
+// into a local vector while it is alive — how a caller reads the
+// per-phase durations of work it ran (e.g. the "train.<phase>" spans of
+// GraphNerModel::train) without draining the global rings.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Bounded sharded-LRU cross-request decode cache (DESIGN.md §11).
 //
 // Keys are the router's full cache identity — normalized sentence key +
-// decode-options string + model fingerprint — and values are the decoded
+// model name + model fingerprint — and values are the decoded
 // tag sequences. The map is sharded by key hash: each shard is an
 // independent mutex + LRU list + index, so concurrent lookups from many
 // connection handlers contend only when they hash to the same shard

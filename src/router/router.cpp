@@ -126,8 +126,6 @@ std::future<serve::TagResponse> Router::submit(text::Sentence sentence,
   // observe each other's entries, even under fingerprint collision.
   std::string base_key = options.key;
   base_key += '\x1e';
-  if (options.decode) base_key += options.decode->to_string();
-  base_key += '\x1e';
   base_key += tenant->name;
 
   // Cache lookup under the generation the owner would decode with. Every

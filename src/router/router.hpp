@@ -5,9 +5,8 @@
 //
 //   1. consistent-hash the normalized sentence key onto the replica ring
 //      (repeats pin to a warm replica and its coalescing cache);
-//   2. consult the cross-request decode cache (sentence key + decode
-//      options + model fingerprint) — a hit answers in O(1) with no
-//      replica touched;
+//   2. consult the cross-request decode cache (sentence key + model
+//      fingerprint) — a hit answers in O(1) with no replica touched;
 //   3. on a miss, submit to the owner replica (skipping unhealthy ones)
 //      and return a lazily-evaluated future that, when waited on,
 //      fails over to ring-order siblings with util::Backoff if the
@@ -18,8 +17,8 @@
 // replica set — bare requests are byte-identical to the pre-tenancy tier —
 // while "#REPLICA model add|swap|drop|list <name> [<path>]" manages
 // additional resident models, each with its own replica pool and ring.
-// The cache identity gains the tenant dimension (sentence key + decode
-// options + model name + fingerprint), so tenants can never observe each
+// The cache identity gains the tenant dimension (sentence key + model
+// name + fingerprint), so tenants can never observe each
 // other's entries even under fingerprint collision. Per-tenant
 // token-bucket quotas ("#REPLICA quota <name> <rate> <burst>") bounce
 // over-quota requests with the structured QUOTA_EXCEEDED status before
@@ -154,7 +153,7 @@ class Router : public serve::TagService {
 
   [[nodiscard]] std::future<serve::TagResponse> submit(
       text::Sentence sentence, serve::SubmitOptions options) override;
-  using serve::TagService::submit;  ///< positional (deadline, decode) sugar
+  using serve::TagService::submit;  ///< positional (deadline) sugar
 
   [[nodiscard]] obs::RegistrySnapshot observability_snapshot() const override;
   [[nodiscard]] std::string metrics_json() const override;

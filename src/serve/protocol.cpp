@@ -167,49 +167,6 @@ struct JsonCursor {
   return out;
 }
 
-/// Parse the key=value words of a "#DECODE" line. Returns false (with
-/// `error` filled) on anything unrecognized — silently ignoring a typo
-/// would leave the connection decoding under the wrong options.
-[[nodiscard]] bool parse_decode_args(const std::string& args,
-                                     std::optional<crf::DecodeOptions>& out,
-                                     std::string& error) {
-  if (args.empty() || args == "off" || args == "reset") {
-    out.reset();
-    return true;
-  }
-  crf::DecodeOptions options;
-  for (const std::string& word : split_tokens(args)) {
-    const std::size_t eq = word.find('=');
-    if (eq == std::string::npos) {
-      error = "expected key=value, got \"" + word + "\"";
-      return false;
-    }
-    const std::string key = word.substr(0, eq);
-    const std::string value = word.substr(eq + 1);
-    try {
-      if (key == "beam") {
-        options.beam = value == "inf" ? 0 : std::stoul(value);
-      } else if (key == "threshold") {
-        options.posterior_threshold = std::stod(value);
-        if (options.posterior_threshold < 0.0 ||
-            options.posterior_threshold >= 1.0)
-          throw std::invalid_argument("threshold must be in [0, 1)");
-      } else if (key == "quantized") {
-        options.quantization = crf::parse_quantization(value);
-      } else {
-        error = "unknown DECODE key \"" + key +
-                "\" (expected beam, threshold or quantized)";
-        return false;
-      }
-    } catch (const std::exception&) {
-      error = "bad DECODE value \"" + word + "\"";
-      return false;
-    }
-  }
-  out = options;
-  return true;
-}
-
 /// Split an optional '#<model>' selector suffix off a TSV id (the
 /// outermost suffix: "<id>[@ms][#model]"). Only a non-empty suffix of
 /// model-name characters counts — see valid_model_name — so ids that
@@ -323,17 +280,12 @@ ParsedLine parse_request_line(const std::string& line) {
     return out;
   }
   if (trimmed == "#DECODE" || trimmed.rfind("#DECODE ", 0) == 0) {
-    const std::string args{util::trim(trimmed.substr(7))};
-    if (parse_decode_args(args, out.decode, out.error))
-      out.kind = LineKind::kDecode;
-    else
-      out.kind = LineKind::kMalformed;
+    out.kind = LineKind::kEmpty;  // retired control line: a silent no-op
     return out;
   }
   if (trimmed == "#MODEL" || trimmed.rfind("#MODEL ", 0) == 0) {
-    // Connection-scoped default model, the "#DECODE" of the tenant
-    // dimension: applies to every later request that carries no selector
-    // of its own; no reply on well-formed lines.
+    // Connection-scoped default model: applies to every later request
+    // that carries no selector of its own; no reply on well-formed lines.
     const std::string name{util::trim(trimmed.substr(6))};
     if (name.empty() || name == "off" || name == "reset") {
       out.kind = LineKind::kModel;  // out.model stays empty = reset

@@ -15,7 +15,7 @@
 //   #MODEL jnlpba   every later bare request decodes under model "jnlpba"
 //   #MODEL off      drop the default (bare "#MODEL" does the same)
 //
-// Like "#DECODE", a well-formed "#MODEL" line produces no reply. Requests
+// A well-formed "#MODEL" line produces no reply. Requests
 // with no selector anywhere keep the pre-tenancy semantics bit-for-bit:
 // they resolve to the registry's "default" alias, so model-less clients
 // never see the tenant dimension at all. An unknown name answers with the
@@ -36,19 +36,11 @@
 //   #METRICS TSV    same snapshot as "name<TAB>value" lines, then "#END"
 //   #METRICS PROM   same snapshot in Prometheus text format, then "# EOF"
 //
-// "#DECODE" selects the decode options (DESIGN.md §10) for every later
-// request on the connection:
-//
-//   #DECODE beam=4 threshold=0.001 quantized=int16
-//   #DECODE off
-//
-// Any subset of beam= (0 or inf = unlimited), threshold= and quantized=
-// (off | int16 | int8) may appear; omitted knobs keep their exact
-// defaults. "#DECODE off" (or a bare "#DECODE") drops the connection
-// override and returns to the server's configured options. Well-formed
-// lines produce no reply — pipelined clients keep their 1:1
-// request/response accounting — while malformed ones answer with the
-// usual parse-error line.
+// "#DECODE ..." is a retired control line (it used to select pruned or
+// quantized CRF decode; DESIGN.md §10). Every form of it, bare or with
+// any arguments, is now a no-op: it is parsed like a blank line and gets
+// no reply, so pipelined clients that still send it keep their 1:1
+// request/response accounting. Requests always decode exactly.
 //
 // Non-OK statuses put the error detail where the tags would go. The JSON
 // reader handles exactly this shape (string escapes included) — it is a
@@ -91,12 +83,10 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/crf/decode_options.hpp"
 #include "src/serve/types.hpp"
 
 namespace graphner::serve {
@@ -127,11 +117,10 @@ struct Request {
 enum class LineKind {
   kRequest,    ///< `request` is filled
   kMetrics,    ///< "#METRICS [JSON|TSV|PROM]" — `metrics_flavour` is filled
-  kDecode,     ///< "#DECODE ..." — `decode` is filled (nullopt = reset)
   kModel,      ///< "#MODEL ..." — `model` is filled (empty = reset)
   kAdmin,      ///< "#REPLICA ..." / "#LEARN ..." — `admin` holds the words
   kQuit,       ///< "#QUIT"
-  kEmpty,      ///< blank line — ignore
+  kEmpty,      ///< blank line or retired "#DECODE ..." — ignore
   kMalformed,  ///< `error` is filled
 };
 
@@ -154,9 +143,6 @@ struct ParsedLine {
   LineKind kind = LineKind::kMalformed;
   Request request;
   MetricsFlavour metrics_flavour = MetricsFlavour::kLegacy;
-  /// For kDecode: the connection's new decode override, or nullopt for
-  /// "#DECODE off" (drop the override, use the server default).
-  std::optional<crf::DecodeOptions> decode;
   /// For kModel: the connection's new default model, or empty for
   /// "#MODEL off" (drop the default, use the server default).
   std::string model;

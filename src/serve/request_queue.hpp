@@ -18,10 +18,8 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <vector>
 
-#include "src/crf/decode_options.hpp"
 #include "src/serve/types.hpp"
 #include "src/text/sentence.hpp"
 
@@ -51,9 +49,6 @@ struct PendingRequest {
   /// where it matters: right before the (expensive) decode.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Per-request decode options (pruning / quantization); nullopt decodes
-  /// under the service default. Set by the wire's "#DECODE" control line.
-  std::optional<crf::DecodeOptions> decode;
   /// Canonical sentence key, threaded from SubmitOptions (or derived once
   /// at admission) so the coalescing worker never re-joins the tokens.
   std::string key;

@@ -30,7 +30,6 @@ TaggingService::TaggingService(const core::GraphNerModel& model,
                                ServiceConfig config)
     : model_(model),
       config_(config),
-      decode_default_(config.decode ? *config.decode : model.decode_options()),
       labels_(std::make_shared<const text::LabelSet>(model.labels())),
       queue_(config.batching) {
   if (config_.model_name.empty()) config_.model_name = "default";
@@ -46,10 +45,7 @@ TaggingService::TaggingService(const core::GraphNerModel& model,
                  config.batching.max_queue_depth, ", batch delay ",
                  config.batching.max_delay.count(), " us",
                  config_.blend_decode ? ", blend decode" : "",
-                 config_.degrade.high_watermark > 0 ? ", degradable" : "",
-                 decode_default_.exact()
-                     ? std::string{}
-                     : ", decode " + decode_default_.to_string());
+                 config_.degrade.high_watermark > 0 ? ", degradable" : "");
 }
 
 TaggingService::~TaggingService() { stop(); }
@@ -75,7 +71,6 @@ std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
   request.key = options.key.empty() ? sentence_key(sentence.tokens)
                                     : std::move(options.key);
   request.sentence = std::move(sentence);
-  request.decode = std::move(options.decode);
   request.enqueued_at = std::chrono::steady_clock::now();
   std::chrono::milliseconds deadline = options.deadline;
   if (deadline.count() <= 0) deadline = config_.default_deadline;
@@ -164,7 +159,6 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
   // model, so duplicates get byte-identical tags without re-decoding.
   std::unordered_map<std::string, std::pair<std::vector<text::Tag>, double>>
       decoded;
-  std::string key;
   const bool coalesce = queue_.policy().coalesce_duplicates;
 
   while (queue_.pop_batch(batch)) {
@@ -202,19 +196,12 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
         continue;
       }
 
-      const crf::DecodeOptions& opts =
-          request.decode ? *request.decode : decode_default_;
-
       const bool try_coalesce = coalesce && batch.size() > 1;
       if (try_coalesce) {
         // The canonical '\x1f'-joined key, computed once at ingestion and
         // carried on the request (PendingRequest::key) — the same key the
         // router's cross-request cache uses, never re-derived here.
-        key = request.key;
-        // Two requests only share a decode when they share its options:
-        // a pruned answer must never be fanned out to an exact request.
-        if (request.decode) key += opts.to_string();
-        if (const auto hit = decoded.find(key); hit != decoded.end()) {
+        if (const auto hit = decoded.find(request.key); hit != decoded.end()) {
           response.tags = hit->second.first;       // shared decode's tags
           response.decode_us = hit->second.second; // ...and its cost
           response.coalesced = true;
@@ -231,9 +218,9 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
       try {
         response.tags = blend
                             ? model_.decode_one_blended(request.sentence,
-                                                        scratch, encode, opts)
+                                                        scratch, encode)
                             : model_.decode_one(request.sentence, scratch,
-                                                encode, opts);
+                                                encode);
       } catch (const std::exception& e) {
         response.status = Status::kError;
         response.error = e.what();
@@ -242,7 +229,8 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
       response.decode_us =
           us_between(decode_start, std::chrono::steady_clock::now());
       if (try_coalesce && response.status == Status::kOk)
-        decoded.emplace(key, std::make_pair(response.tags, response.decode_us));
+        decoded.emplace(request.key,
+                        std::make_pair(response.tags, response.decode_us));
       metrics_.on_completed(response.queue_us, response.decode_us,
                             response.status == Status::kError,
                             /*coalesced=*/false, response.degraded);

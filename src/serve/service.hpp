@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstddef>
 #include <future>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,11 +53,6 @@ struct ServiceConfig {
   /// off, degradation has nothing cheaper to switch to and is inert.
   bool blend_decode = false;
   DegradePolicy degrade;
-  /// Default decode options (pruning / quantization, DESIGN.md §10) for
-  /// requests that carry none; nullopt inherits whatever the model was
-  /// configured with (GraphNerModel::set_decode_options / load-time
-  /// quantization).
-  std::optional<crf::DecodeOptions> decode;
   /// The name this service's model answers to. A submission whose
   /// SubmitOptions::model is non-empty and different is rejected with
   /// Status::kUnknownModel — a single-model server has nothing else to
@@ -81,16 +75,10 @@ class TaggingService : public TagService {
   /// with tags on success, or with a terminal non-OK status (kOverloaded /
   /// kShutdown / kUnknownModel immediately, kDeadlineExceeded if the
   /// deadline passes while queued). `options.deadline` <= 0 uses the
-  /// config default; `options.decode` overrides the service's decode
-  /// options for this request only (the wire's "#DECODE" control line).
+  /// config default.
   [[nodiscard]] std::future<TagResponse> submit(text::Sentence sentence,
                                                 SubmitOptions options) override;
-  using TagService::submit;  ///< the positional (deadline, decode) sugar
-
-  /// The options requests decode under when they carry no override.
-  [[nodiscard]] const crf::DecodeOptions& default_decode_options() const noexcept {
-    return decode_default_;
-  }
+  using TagService::submit;  ///< the positional (deadline) sugar
 
   /// Synchronous convenience: submit + wait.
   [[nodiscard]] TagResponse tag(text::Sentence sentence);
@@ -128,7 +116,6 @@ class TaggingService : public TagService {
 
   const core::GraphNerModel& model_;
   ServiceConfig config_;
-  crf::DecodeOptions decode_default_;  ///< config_.decode or the model's own
   /// The model's label inventory, attached to every OK response so the
   /// wire layer can name multi-entity tags. A copy under shared_ptr (one
   /// refcount bump per response) rather than a pointer into the model:

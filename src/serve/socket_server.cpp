@@ -148,9 +148,6 @@ void SocketServer::handle_connection(std::size_t slot) {
   char chunk[4096];
   // Requests submitted but not yet answered, in arrival order.
   std::deque<std::pair<Request, std::future<TagResponse>>> in_flight;
-  // Connection-scoped decode override, set by "#DECODE" lines; nullopt
-  // decodes under the service default.
-  std::optional<crf::DecodeOptions> conn_decode;
   // Connection-scoped default model, set by "#MODEL" lines; empty resolves
   // to the server's default model (the pre-tenancy behaviour).
   std::string conn_model;
@@ -174,7 +171,6 @@ void SocketServer::handle_connection(std::size_t slot) {
             SubmitOptions options;
             options.deadline =
                 std::chrono::milliseconds{parsed.request.deadline_ms};
-            options.decode = conn_decode;
             // Per-request selector wins; else the connection's "#MODEL"
             // default; else empty = the server default model.
             options.model = parsed.request.model.empty()
@@ -190,13 +186,9 @@ void SocketServer::handle_connection(std::size_t slot) {
             want_metrics = true;
             metrics_flavour = parsed.metrics_flavour;
             break;
-          case LineKind::kDecode:
-            // Applies to every later request on this connection; no reply,
-            // so pipelined clients keep 1:1 request/response accounting.
-            conn_decode = parsed.decode;
-            break;
           case LineKind::kModel:
-            // Same discipline as #DECODE: connection-scoped, no reply.
+            // Connection-scoped; no reply, so pipelined clients keep 1:1
+            // request/response accounting.
             conn_model = parsed.model;
             break;
           case LineKind::kAdmin:

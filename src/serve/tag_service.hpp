@@ -10,10 +10,8 @@
 
 #include <chrono>
 #include <future>
-#include <optional>
 #include <string>
 
-#include "src/crf/decode_options.hpp"
 #include "src/obs/registry.hpp"
 #include "src/serve/types.hpp"
 #include "src/text/sentence.hpp"
@@ -21,15 +19,12 @@
 namespace graphner::serve {
 
 /// Everything a submission carries besides the sentence itself. Grown
-/// instead of the old positional (deadline, decode) parameters so new
+/// instead of positional parameters so new
 /// per-request dimensions ride one struct through every tier — socket
 /// handler, router, replica, service — without another signature sweep.
 struct SubmitOptions {
   /// Per-request deadline; <= 0 uses the service default.
   std::chrono::milliseconds deadline{0};
-  /// Per-request decode override (the wire's "#DECODE"); nullopt decodes
-  /// under the service default.
-  std::optional<crf::DecodeOptions> decode;
   /// Tenant/model selector (the wire's "#model" id suffix, JSON "model"
   /// member or "#MODEL" connection default). Empty selects the default
   /// model, which is what every pre-tenancy client gets — full wire
@@ -57,11 +52,9 @@ class TagService {
   /// Positional sugar over the options struct (the pre-tenancy call shape;
   /// derived classes re-expose it with `using TagService::submit`).
   [[nodiscard]] std::future<TagResponse> submit(
-      text::Sentence sentence, std::chrono::milliseconds deadline = {},
-      std::optional<crf::DecodeOptions> decode = std::nullopt) {
+      text::Sentence sentence, std::chrono::milliseconds deadline = {}) {
     SubmitOptions options;
     options.deadline = deadline;
-    options.decode = std::move(decode);
     return submit(std::move(sentence), std::move(options));
   }
 

@@ -14,7 +14,6 @@
 #include "src/obs/export.hpp"
 #include "src/obs/registry.hpp"
 #include "src/obs/span.hpp"
-#include "src/graphner/pipeline.hpp"
 #include "src/util/logging.hpp"
 
 namespace graphner {
@@ -314,30 +313,6 @@ TEST(ObsExportTest, SpansExportAsJsonArray) {
   EXPECT_EQ(json.back(), ']');
   EXPECT_NE(json.find("\"name\":\"export.probe\""), std::string::npos);
   EXPECT_NE(json.find("\"attrs\":{\"k\":\"v\"}"), std::string::npos);
-}
-
-TEST(ObsTimingsTest, TrainingTimingsMaterializeFromSpans) {
-  obs::SpanCapture capture;
-  double brown = 0.0;
-  {
-    obs::ScopedSpan span("train.brown");
-    brown += span.close();
-  }
-  {
-    obs::ScopedSpan span("train.brown");  // repeated phases sum
-    brown += span.close();
-  }
-  double encode = 0.0;
-  {
-    obs::ScopedSpan span("train.encode");
-    encode = span.close();
-  }
-  const auto timings = core::training_timings_from_spans(capture);
-  EXPECT_NEAR(timings.brown_seconds, brown, 1e-12);
-  EXPECT_NEAR(timings.encode_seconds, encode, 1e-12);
-  EXPECT_EQ(timings.word2vec_seconds, 0.0);  // phase that never ran
-  EXPECT_EQ(timings.crf_train_seconds, 0.0);
-  EXPECT_NEAR(timings.total(), brown + encode, 1e-12);
 }
 
 TEST(ObsLoggingTest, DebugSinkSeesSpanOpenAndCloseLines) {

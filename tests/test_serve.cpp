@@ -272,6 +272,60 @@ TEST_F(ServeTest, SocketServerRoundTripsAgainstOfflineDecode) {
   service.stop();
 }
 
+TEST_F(ServeTest, RetiredDecodeLinesDrawNoReplyAndChangeNoTags) {
+  // "#DECODE ..." is retired: every form parses like a blank line.
+  const std::vector<std::string> decode_lines = {
+      "#DECODE", "#DECODE off", "#DECODE beam=4 quantized=int8",
+      "#DECODE garbage"};
+  for (const auto& line : decode_lines)
+    EXPECT_EQ(parse_request_line(line).kind, LineKind::kEmpty) << line;
+
+  ServiceConfig config;
+  config.workers = 2;
+  TaggingService service(*model_, config);
+  SocketServer server(service, {});  // port 0 = ephemeral
+  server.start();
+
+  const std::size_t n = std::min<std::size_t>(12, sentences_->size());
+  std::vector<std::string> requests;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string line = "d" + std::to_string(i) + "\t";
+    for (std::size_t t = 0; t < (*sentences_)[i].size(); ++t) {
+      if (t > 0) line += ' ';
+      line += (*sentences_)[i].tokens[t];
+    }
+    requests.push_back(std::move(line));
+  }
+
+  // Pipeline every request, optionally with a #DECODE line after each,
+  // then read exactly one reply per request; #QUIT must then hit EOF, so
+  // no reply to a #DECODE line can be hiding behind the last response.
+  const auto exchange = [&](bool interleave_decode) {
+    ClientConnection connection;
+    connection.connect("127.0.0.1", server.port());
+    for (std::size_t i = 0; i < n; ++i) {
+      connection.send_line(requests[i]);
+      if (interleave_decode)
+        connection.send_line(decode_lines[i % decode_lines.size()]);
+    }
+    std::vector<std::string> responses(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(connection.recv_line(responses[i]));
+      EXPECT_EQ(responses[i].rfind("d" + std::to_string(i) + "\tOK\t", 0), 0U)
+          << responses[i];
+    }
+    connection.send_line("#QUIT");
+    std::string extra;
+    EXPECT_FALSE(connection.recv_line(extra)) << extra;
+    return responses;
+  };
+  const auto with_decode = exchange(/*interleave_decode=*/true);
+  const auto fresh = exchange(/*interleave_decode=*/false);
+  EXPECT_EQ(with_decode, fresh);
+  server.stop();
+  service.stop();
+}
+
 // --- Fault tolerance: deadlines, degradation, chaos --------------------------
 
 /// Scopes chaos to one test: the FaultInjector is a process-wide singleton,
