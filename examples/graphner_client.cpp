@@ -1,13 +1,13 @@
-// Line-protocol client for graphner_serve.
+// Line-protocol client for graphner_router.
 //
 //   graphner_client --port 8765 --input sents.txt --concurrency 4
 //       tag a file (one space-tokenized sentence per line); responses are
 //       printed to stdout in input order regardless of concurrency
-//   graphner_client --port 8765 --metrics
-//       fetch the server's metrics JSON
+//   graphner_client --port 8765 --metrics [--metrics-format tsv|prom]
+//       fetch the server's full metrics snapshot (one JSON line by default)
 //   graphner_client --port 8765 --admin "kill 1"
-//       send a "#REPLICA <cmd>" admin line (graphner_router only) and
-//       print the reply up to its #END terminator
+//       send a "#REPLICA <cmd>" admin line and print the reply up to its
+//       #END terminator
 //   graphner_client --port 8765 --admin "#LEARN file new-sents.txt"
 //       an --admin value starting with '#' goes out verbatim — the online
 //       learning verb of a --learn router absorbs the file's sentences
@@ -48,7 +48,7 @@ std::vector<std::string> read_lines(std::istream& in) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli("graphner_client", "tagging client for graphner_serve");
+  util::Cli cli("graphner_client", "tagging client for graphner_router");
   auto host = cli.flag<std::string>("host", "127.0.0.1", "server host");
   auto port = cli.flag<std::uint16_t>("port", 8765, "server port");
   auto input = cli.flag<std::string>("input", "-", "sentence file ('-' = stdin)");
@@ -63,15 +63,14 @@ int main(int argc, char** argv) {
       "model", "",
       "tenant/model selector sent as the '#<name>' id suffix (empty = the "
       "server's default model)");
-  auto metrics = cli.toggle("metrics", "fetch the server metrics JSON and exit");
+  auto metrics = cli.toggle("metrics", "fetch the metrics snapshot and exit");
   auto admin = cli.flag<std::string>(
       "admin", "",
       "send '#REPLICA <cmd>' (kill/revive/swap/status/learn) and print the "
       "reply; a value starting with '#' (e.g. '#LEARN text ...') is sent "
       "verbatim");
   auto metrics_format = cli.flag<std::string>(
-      "metrics-format", "",
-      "with --metrics: json | tsv | prom (empty = legacy service JSON)");
+      "metrics-format", "json", "with --metrics: json | tsv | prom");
   cli.parse(argc, argv);
 
   util::BackoffPolicy connect_policy;
@@ -99,21 +98,19 @@ int main(int argc, char** argv) {
     }
 
     if (*metrics) {
-      // Single-line flavours (legacy / JSON) answer with exactly one line;
-      // the multi-line flavours end with a terminator line (#END for TSV,
-      // "# EOF" for Prometheus) which we print too, so output is diffable
-      // against what the wire carried.
-      std::string command = "#METRICS";
+      // JSON answers with exactly one line; the multi-line flavours end
+      // with a terminator line (#END for TSV, "# EOF" for Prometheus)
+      // which we print too, so output is diffable against what the wire
+      // carried.
+      std::string command = "#METRICS JSON";
       std::string terminator;
-      if (*metrics_format == "json") {
-        command = "#METRICS JSON";
-      } else if (*metrics_format == "tsv") {
+      if (*metrics_format == "tsv") {
         command = "#METRICS TSV";
         terminator = "#END";
       } else if (*metrics_format == "prom") {
         command = "#METRICS PROM";
         terminator = "# EOF";
-      } else if (!metrics_format->empty()) {
+      } else if (*metrics_format != "json") {
         throw std::runtime_error("unknown --metrics-format '" + *metrics_format +
                                  "' (expected json, tsv or prom)");
       }

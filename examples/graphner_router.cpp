@@ -1,5 +1,9 @@
 // Sharded multi-replica tagging tier: router + N in-process replicas.
+// This is the serving front end; one replica with the cache off is the
+// plain single-service server.
 //
+//   graphner_router --dir corpus/ --save-model m.gnm --replicas 1 --no-cache
+//       train, persist, then serve from one worker pool with no cache
 //   graphner_router --load-model m.gnm --replicas 4 --port 8765
 //       serve the model from 4 replicas behind a consistent-hash router
 //       with the cross-request decode cache on
@@ -17,9 +21,10 @@
 //
 // --load-model auto-sniffs the format (text "graphner-model" vs mmap
 // "GNERMMAP"); with the mmap format all replicas share one page-cache
-// copy of the weights. The wire protocol is graphner_serve's, plus the
-// "#REPLICA kill|revive|swap|status" admin line (graphner_client --admin)
-// driving the chaos drill and hot-swap, and — with --learn — the "#LEARN
+// copy of the weights. The wire protocol (src/serve/protocol.hpp) carries
+// tagging requests, "#METRICS" scrapes, the "#REPLICA
+// kill|revive|swap|status" admin line (graphner_client --admin) driving
+// the chaos drill and hot-swap, and — with --learn — the "#LEARN
 // text|file|status|rollback" online-learning line (DESIGN.md §12): new
 // sentences become k-NN graph vertices incrementally, a localized
 // re-propagation refreshes their label distributions, and the learned
@@ -339,7 +344,7 @@ int main(int argc, char** argv) {
     std::cerr << "graphner_router: stopping (signal " << g_signal.load() << ")\n";
     server.stop();
     router.stop();
-    std::cerr << router.metrics_json() << '\n';
+    std::cerr << obs::export_json(router.observability_snapshot()) << '\n';
     const std::string faults = util::FaultInjector::instance().summary();
     if (!faults.empty()) std::cerr << "injected faults:\n" << faults;
   } catch (const std::exception& e) {

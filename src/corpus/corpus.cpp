@@ -13,12 +13,6 @@ std::size_t LabelledCorpus::train_token_count() const noexcept {
   return n;
 }
 
-std::size_t LabelledCorpus::test_token_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& s : test) n += s.size();
-  return n;
-}
-
 CorpusStats compute_stats(const LabelledCorpus& corpus) {
   CorpusStats stats;
   stats.train_sentences = corpus.train.size();

@@ -29,7 +29,6 @@ struct LabelledCorpus {
   std::vector<std::string> gene_related_tokens;
 
   [[nodiscard]] std::size_t train_token_count() const noexcept;
-  [[nodiscard]] std::size_t test_token_count() const noexcept;
 };
 
 /// Corpus-level statistics reported by the harnesses (paper §III-D).

@@ -13,19 +13,6 @@ namespace {
 constexpr double kEps = 1e-12;
 }  // namespace
 
-TagTransitionMatrix normalize_transition_counts(const TagTransitionMatrix& counts) {
-  const std::size_t L = counts.n();
-  TagTransitionMatrix out(L);
-  for (std::size_t a = 0; a < L; ++a) {
-    double row = 0.0;
-    for (std::size_t b = 0; b < L; ++b) row += counts.at(a, b);
-    for (std::size_t b = 0; b < L; ++b)
-      out.at(a, b) =
-          row > 0.0 ? counts.at(a, b) / row : 1.0 / static_cast<double>(L);
-  }
-  return out;
-}
-
 TagTransitionMatrix transition_ratio_matrix(const TagTransitionMatrix& counts) {
   const std::size_t L = counts.n();
   TagTransitionMatrix out(L);

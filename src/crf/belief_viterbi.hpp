@@ -40,11 +40,6 @@ using TagTransitionMatrix = text::LabelMatrix;
     const std::vector<TagTransitionMatrix>& per_edge_transitions,
     const text::LabelSet& labels = text::LabelSet::single());
 
-/// Normalize expected tag-bigram counts into a row-stochastic transition
-/// matrix (rows with zero mass become uniform).
-[[nodiscard]] TagTransitionMatrix normalize_transition_counts(
-    const TagTransitionMatrix& counts);
-
 /// Turn expected tag-bigram counts into the pairwise/marginal ratio
 /// R[a][b] = p(a,b) / (p(a) p(b)). For a chain-structured distribution the
 /// joint factorizes as prod_i p(t_i) * prod_i R[t_{i-1}][t_i], so Viterbi

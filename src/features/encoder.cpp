@@ -78,14 +78,4 @@ crf::Batch encode_batch_for_training(const std::vector<text::Sentence>& sentence
   return batch;
 }
 
-crf::Batch encode_batch_for_inference(const std::vector<text::Sentence>& sentences,
-                                      const FeatureExtractor& extractor,
-                                      const crf::FeatureIndex& index) {
-  crf::Batch batch;
-  batch.reserve(sentences.size());
-  for (const auto& s : sentences)
-    if (s.size() > 0) batch.push_back(encode_for_inference(s, extractor, index));
-  return batch;
-}
-
 }  // namespace graphner::features

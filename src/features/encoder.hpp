@@ -42,8 +42,4 @@ const crf::EncodedSentence& encode_for_inference(
     const std::vector<text::Sentence>& sentences, const FeatureExtractor& extractor,
     crf::FeatureIndex& index, const crf::StateSpace& space);
 
-[[nodiscard]] crf::Batch encode_batch_for_inference(
-    const std::vector<text::Sentence>& sentences, const FeatureExtractor& extractor,
-    const crf::FeatureIndex& index);
-
 }  // namespace graphner::features

@@ -119,13 +119,6 @@ std::vector<Param*> BiLstmCrfTagger::parameters() {
   return out;
 }
 
-std::size_t BiLstmCrfTagger::parameter_count() const {
-  std::size_t n = 0;
-  for (const Param* p : const_cast<BiLstmCrfTagger*>(this)->parameters())
-    n += p->value.data.size();
-  return n;
-}
-
 void BiLstmCrfTagger::run_forward(const text::Sentence& sentence, Forward& fwd) const {
   const std::size_t n = sentence.size();
   const std::size_t char_repr = 2 * config_.char_hidden;

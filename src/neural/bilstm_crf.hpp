@@ -60,7 +60,6 @@ class BiLstmCrfTagger {
   double train_step(const text::Sentence& sentence);
 
   [[nodiscard]] std::vector<Param*> parameters();
-  [[nodiscard]] std::size_t parameter_count() const;
 
   /// Construct an untrained model over the given training vocabulary
   /// (exposed for tests; normal users call train()).

@@ -55,7 +55,7 @@ struct Tenant {
   /// the Router itself (see file comment); `replicas`/`ring` stay empty.
   bool is_default = false;
   std::shared_ptr<const core::GraphNerModel> model;  ///< null for default
-  std::vector<std::unique_ptr<ReplicaHandle>> replicas;
+  std::vector<std::unique_ptr<InProcessReplica>> replicas;
   std::unique_ptr<HashRing> ring;
   obs::TokenBucket quota;
   TenantMetrics metrics;
@@ -80,10 +80,6 @@ class ModelRegistry {
   /// tenant (the bare-request alias); anything else must be resident.
   /// nullptr = unknown model.
   [[nodiscard]] std::shared_ptr<Tenant> resolve(const std::string& name) const;
-
-  [[nodiscard]] std::shared_ptr<Tenant> default_tenant() const {
-    return resolve({});
-  }
 
   /// Register `model` under `name` with its own replica pool (`replicas`
   /// InProcessReplicas over `service`) and ring. Throws

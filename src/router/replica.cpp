@@ -1,8 +1,7 @@
 #include "src/router/replica.hpp"
 
+#include <thread>
 #include <utility>
-
-#include "src/util/logging.hpp"
 
 namespace graphner::router {
 
@@ -94,22 +93,23 @@ std::shared_ptr<const text::LabelSet> InProcessReplica::labels() const {
   return labels_;
 }
 
-void InProcessReplica::retire_service() {
-  std::shared_ptr<serve::TaggingService> old;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    old = std::move(service_);
-    service_ = nullptr;
-    healthy_ = false;
-  }
+void InProcessReplica::retire(std::shared_ptr<serve::TaggingService> old) {
   if (!old) return;
   old->stop();  // graceful: drains queued work, every future resolves
-  const obs::RegistrySnapshot terminal = old->metrics().raw;
+  const obs::RegistrySnapshot terminal = old->metrics();
   std::lock_guard<std::mutex> lock(mutex_);
   merge_snapshot(retired_, terminal);
 }
 
-void InProcessReplica::kill() { retire_service(); }
+void InProcessReplica::kill() {
+  std::shared_ptr<serve::TaggingService> old;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    old = std::move(service_);
+    healthy_ = false;
+  }
+  retire(std::move(old));
+}
 
 void InProcessReplica::revive() {
   std::shared_ptr<const core::GraphNerModel> model;
@@ -130,13 +130,24 @@ void InProcessReplica::swap_model(
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) return;
   }
-  retire_service();  // queued requests finish under the old model
+  // Start the new worker pool first and install it together with its
+  // model in one step: no submit ever finds the replica without a live
+  // service, so a failover walk never meets it unhealthy mid-swap.
   auto service = std::make_shared<serve::TaggingService>(*model, config_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  model_ = std::move(model);
-  service_ = std::move(service);
-  labels_ = nullptr;  // re-materialized from the new model on demand
-  healthy_ = true;
+  std::shared_ptr<serve::TaggingService> old;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) return;  // the unused service stops in its destructor
+    old = std::exchange(service_, std::move(service));
+    model_ = std::move(model);
+    labels_ = nullptr;  // re-materialized from the new model on demand
+    healthy_ = true;
+  }
+  // A submit that read the old service just before the exchange may still
+  // be pushing into it. No new reference can appear, so wait for those to
+  // drop before stopping admission, or the push would answer SHUTDOWN.
+  while (old.use_count() > 1) std::this_thread::yield();
+  retire(std::move(old));  // queued requests finish under the old model
 }
 
 obs::RegistrySnapshot InProcessReplica::metrics_snapshot() const {
@@ -147,7 +158,7 @@ obs::RegistrySnapshot InProcessReplica::metrics_snapshot() const {
     out = retired_;
     service = service_;
   }
-  if (service) merge_snapshot(out, service->metrics().raw);
+  if (service) merge_snapshot(out, service->metrics());
   return out;
 }
 
@@ -157,7 +168,7 @@ void InProcessReplica::stop() {
     if (stopped_) return;
     stopped_ = true;
   }
-  retire_service();
+  kill();
 }
 
 }  // namespace graphner::router

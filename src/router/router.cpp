@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/obs/export.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/util/logging.hpp"
 
@@ -254,16 +253,8 @@ obs::RegistrySnapshot Router::observability_snapshot() const {
                  "tenant." + tenant->name + ".replica." + std::to_string(i) +
                      ".");
   }
-  out.append(obs::Registry::global().snapshot());
-  for (const auto& [name, stats] : util::FaultInjector::instance().all_stats()) {
-    out.counters.push_back({"fault." + name + ".calls", {}, stats.calls});
-    out.counters.push_back({"fault." + name + ".fires", {}, stats.fires});
-  }
+  serve::append_process_metrics(out);
   return out;
-}
-
-std::string Router::metrics_json() const {
-  return obs::export_json(observability_snapshot());
 }
 
 std::string Router::admin(const std::string& command) {
@@ -654,7 +645,7 @@ double Router::canary_disagreement(const core::GraphNerModel& current,
 }
 
 std::size_t Router::swap_pool(
-    std::vector<std::unique_ptr<ReplicaHandle>>& pool,
+    std::vector<std::unique_ptr<InProcessReplica>>& pool,
     const std::shared_ptr<const core::GraphNerModel>& model) {
   std::vector<std::uint64_t> old_fingerprints;
   old_fingerprints.reserve(pool.size());

@@ -1,6 +1,6 @@
 // Router: the sharded multi-replica serving tier (DESIGN.md §11).
 //
-// A Router is a TagService over N ReplicaHandles, so SocketServer fronts
+// A Router is a TagService over N InProcessReplicas, so SocketServer fronts
 // it exactly like a single TaggingService. Per request:
 //
 //   1. consistent-hash the normalized sentence key onto the replica ring
@@ -156,7 +156,6 @@ class Router : public serve::TagService {
   using serve::TagService::submit;  ///< positional (deadline) sugar
 
   [[nodiscard]] obs::RegistrySnapshot observability_snapshot() const override;
-  [[nodiscard]] std::string metrics_json() const override;
 
   /// The admin verb table documented in protocol.hpp: replica lifecycle
   /// (kill/revive/swap/status), tenant models (model add|swap|drop|list,
@@ -191,7 +190,9 @@ class Router : public serve::TagService {
   [[nodiscard]] std::size_t replica_count() const noexcept {
     return replicas_.size();
   }
-  [[nodiscard]] ReplicaHandle& replica(std::size_t i) { return *replicas_[i]; }
+  [[nodiscard]] InProcessReplica& replica(std::size_t i) {
+    return *replicas_[i];
+  }
   [[nodiscard]] ShardedLruCache& cache() noexcept { return cache_; }
 
   /// Drain and join every replica. Idempotent; also run by the destructor.
@@ -212,7 +213,7 @@ class Router : public serve::TagService {
   /// The replica pool a tenant routes over: the router's own replicas_
   /// for the default tenant (see ModelRegistry), the tenant's private
   /// pool otherwise.
-  [[nodiscard]] std::vector<std::unique_ptr<ReplicaHandle>>& pool_of(
+  [[nodiscard]] std::vector<std::unique_ptr<InProcessReplica>>& pool_of(
       Tenant& tenant) noexcept {
     return tenant.is_default ? replicas_ : tenant.replicas;
   }
@@ -235,7 +236,7 @@ class Router : public serve::TagService {
   /// there) and before cache_/replicas_ so teardown order is safe.
   ModelRegistry models_;
   ShardedLruCache cache_;
-  std::vector<std::unique_ptr<ReplicaHandle>> replicas_;
+  std::vector<std::unique_ptr<InProcessReplica>> replicas_;
   HashRing ring_;
   obs::Counter& requests_;
   obs::Counter& failovers_;
@@ -278,7 +279,7 @@ class Router : public serve::TagService {
   /// Swap `model` into every replica of `pool` and drop cache generations
   /// the pool no longer serves; returns entries invalidated. Caller holds
   /// swap_mutex_.
-  std::size_t swap_pool(std::vector<std::unique_ptr<ReplicaHandle>>& pool,
+  std::size_t swap_pool(std::vector<std::unique_ptr<InProcessReplica>>& pool,
                         const std::shared_ptr<const core::GraphNerModel>& model);
   /// swap_pool over the default pool (the learn/rollback swap path).
   std::size_t swap_all_replicas(

@@ -8,7 +8,7 @@ namespace graphner::router {
 
 HealthSupervisor::HealthSupervisor(
     SupervisorConfig config,
-    std::vector<std::unique_ptr<ReplicaHandle>>& replicas,
+    std::vector<std::unique_ptr<InProcessReplica>>& replicas,
     BreakerBoard& breakers, obs::Registry& registry)
     : config_(config),
       replicas_(replicas),
@@ -49,7 +49,7 @@ void HealthSupervisor::run() {
   }
 }
 
-bool HealthSupervisor::probe(ReplicaHandle& replica) {
+bool HealthSupervisor::probe(InProcessReplica& replica) {
   probes_.inc();
   // Chaos hook: a fired probe fault is a probe that never came back.
   if (util::fault_fires("replica.probe")) {

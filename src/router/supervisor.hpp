@@ -96,7 +96,7 @@ class HealthSupervisor {
   /// Starts the probe thread immediately. `replicas` and `breakers` must
   /// outlive the supervisor; stop() (or destruction) joins the thread.
   HealthSupervisor(SupervisorConfig config,
-                   std::vector<std::unique_ptr<ReplicaHandle>>& replicas,
+                   std::vector<std::unique_ptr<InProcessReplica>>& replicas,
                    BreakerBoard& breakers, obs::Registry& registry);
   ~HealthSupervisor();
 
@@ -119,7 +119,7 @@ class HealthSupervisor {
         : backoff(policy) {}
   };
 
-  [[nodiscard]] bool probe(ReplicaHandle& replica);
+  [[nodiscard]] bool probe(InProcessReplica& replica);
   void run();
 
   /// Serializes probe sweeps: the probe thread and a test driving
@@ -127,7 +127,7 @@ class HealthSupervisor {
   std::mutex probe_mutex_;
 
   SupervisorConfig config_;
-  std::vector<std::unique_ptr<ReplicaHandle>>& replicas_;
+  std::vector<std::unique_ptr<InProcessReplica>>& replicas_;
   BreakerBoard& breakers_;
   obs::Counter& probes_;
   obs::Counter& probe_failures_;

@@ -10,75 +10,17 @@
 // sharding gives the same uncontended-write discipline for free, and the
 // worker id disappears from the observer API.
 //
-// MetricsSnapshot keeps its pre-registry shape (typed counter fields,
-// LatencyHistogram accessors, mean_batch_size()) so service callers and
-// tests are untouched; it is now materialized as a typed view over the
-// registry snapshot it carries, and to_json() delegates to the shared
-// obs JSON exporter.
+// snapshot() returns the registry's own obs::RegistrySnapshot (bare
+// names: "submitted", "queue_wait_us", ...); scrape paths prefix it
+// "serve." and feed it to the shared obs exporters.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 
 #include "src/obs/registry.hpp"
 #include "src/serve/types.hpp"
-#include "src/util/histogram.hpp"
 
 namespace graphner::serve {
-
-/// util::Histogram over log10(1 + us) with report-time inversion.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-  /// Typed view over an obs histogram snapshot recorded with
-  /// obs::latency_us_spec() (bin-domain buckets + raw-microsecond sum).
-  explicit LatencyHistogram(const obs::Histogram::Snapshot& snapshot);
-
-  void record_us(double us) noexcept;
-  void merge(const LatencyHistogram& other) {
-    histogram_.merge(other.histogram_);
-    sum_us_ += other.sum_us_;
-  }
-
-  [[nodiscard]] std::size_t total() const noexcept { return histogram_.total(); }
-  [[nodiscard]] double mean_us() const noexcept;
-  [[nodiscard]] double max_us() const noexcept;
-  /// Quantile in microseconds (inverse of the log transform).
-  [[nodiscard]] double quantile_us(double q) const noexcept;
-
- private:
-  util::Histogram histogram_;
-  double sum_us_ = 0.0;  ///< arithmetic mean support (mean of logs is not it)
-};
-
-/// Point-in-time typed view over the service registry. Copyable, detached
-/// from the live service.
-struct MetricsSnapshot {
-  std::uint64_t submitted = 0;          ///< admission attempts
-  std::uint64_t rejected_overload = 0;  ///< queue-full rejections
-  std::uint64_t rejected_shutdown = 0;  ///< submitted after stop()
-  std::uint64_t rejected_unknown_model = 0;  ///< bad SubmitOptions::model
-  std::uint64_t completed = 0;          ///< responses produced by workers
-  std::uint64_t errors = 0;             ///< decode exceptions
-  std::uint64_t batches = 0;            ///< micro-batches decoded
-  std::uint64_t coalesced = 0;          ///< duplicates served by a shared decode
-  std::uint64_t deadline_expired = 0;   ///< shed before decode (deadline passed)
-  std::uint64_t degraded = 0;           ///< answered by the degraded decode path
-
-  LatencyHistogram queue_wait;  ///< enqueue -> batch dequeue
-  LatencyHistogram decode;      ///< feature extraction + Viterbi
-  util::Histogram batch_size{0.0, 256.0, 256};
-
-  /// The registry snapshot this view was materialized from.
-  obs::RegistrySnapshot raw;
-
-  [[nodiscard]] double mean_batch_size() const noexcept {
-    return batch_size.mean();
-  }
-  /// One-line JSON via the shared obs exporter:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}.
-  [[nodiscard]] std::string to_json() const;
-};
 
 class ServiceMetrics {
  public:
@@ -100,9 +42,8 @@ class ServiceMetrics {
     queue_depth_.set(static_cast<double>(depth));
   }
 
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
+  [[nodiscard]] obs::RegistrySnapshot snapshot() const {
+    return registry_.snapshot();
   }
 
  private:
@@ -122,5 +63,10 @@ class ServiceMetrics {
   obs::Histogram& decode_;
   obs::Histogram& batch_size_;
 };
+
+/// Append what every scrape carries besides a tier's own registries: the
+/// process-global registry (training/propagation/checkpoint instruments)
+/// and the fault-injector fire counts as "fault.<point>.{calls,fires}".
+void append_process_metrics(obs::RegistrySnapshot& out);
 
 }  // namespace graphner::serve

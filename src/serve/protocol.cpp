@@ -262,9 +262,7 @@ ParsedLine parse_request_line(const std::string& line) {
   }
   if (trimmed == "#METRICS" || trimmed.rfind("#METRICS ", 0) == 0) {
     const std::string flavour{util::trim(trimmed.substr(8))};
-    if (flavour.empty())
-      out.metrics_flavour = MetricsFlavour::kLegacy;
-    else if (flavour == "JSON")
+    if (flavour.empty() || flavour == "JSON")
       out.metrics_flavour = MetricsFlavour::kJson;
     else if (flavour == "TSV")
       out.metrics_flavour = MetricsFlavour::kTsv;

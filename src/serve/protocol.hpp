@@ -29,10 +29,11 @@
 // space-separated tokens with id "-" (netcat-friendly). Control lines:
 // "#QUIT" closes the connection; "#METRICS" scrapes the server:
 //
-//   #METRICS        one JSON line of the service's own metrics
-//                   (DEPRECATED — see MetricsFlavour::kLegacy)
-//   #METRICS JSON   one JSON line of the full observability snapshot
-//                   (serve.* + process-global + fault.* counters)
+//   #METRICS        one JSON line of the full observability snapshot
+//   #METRICS JSON   the same (explicit spelling): the tier's own rows
+//                   (router.*, cache.*, tenant.*, replica.<i>.* — or
+//                   serve.* for a bare service) + process-global +
+//                   fault.* counters
 //   #METRICS TSV    same snapshot as "name<TAB>value" lines, then "#END"
 //   #METRICS PROM   same snapshot in Prometheus text format, then "# EOF"
 //
@@ -126,15 +127,7 @@ enum class LineKind {
 
 /// Which serialization a "#METRICS" control line asked for.
 enum class MetricsFlavour {
-  /// Bare "#METRICS": the service's own metrics, one JSON line.
-  /// DEPRECATED since the tenant-scoped API: the body only covers the
-  /// answering service's private registry — no tenant.*, cache.* or
-  /// fault.* rows — so dashboards over it silently miss the multi-tenant
-  /// surface. Kept bit-for-bit for old scrapers; new clients should send
-  /// "#METRICS JSON" (same transport, full snapshot). Scheduled for
-  /// removal once nothing in CI scrapes the bare form.
-  kLegacy,
-  kJson,    ///< full observability snapshot, one JSON line
+  kJson,    ///< full observability snapshot, one JSON line (bare "#METRICS")
   kTsv,     ///< full snapshot as name<TAB>value lines, terminated "#END"
   kProm,    ///< full snapshot as Prometheus text, terminated "# EOF"
 };
@@ -142,7 +135,7 @@ enum class MetricsFlavour {
 struct ParsedLine {
   LineKind kind = LineKind::kMalformed;
   Request request;
-  MetricsFlavour metrics_flavour = MetricsFlavour::kLegacy;
+  MetricsFlavour metrics_flavour = MetricsFlavour::kJson;
   /// For kModel: the connection's new default model, or empty for
   /// "#MODEL off" (drop the default, use the server default).
   std::string model;

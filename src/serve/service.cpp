@@ -139,14 +139,8 @@ bool TaggingService::update_degraded_mode() {
 obs::RegistrySnapshot TaggingService::observability_snapshot() const {
   metrics_.set_queue_depth(queue_.depth());  // fresh depth at scrape time
   obs::RegistrySnapshot out;
-  out.append(metrics_.registry().snapshot(), "serve.");
-  out.append(obs::Registry::global().snapshot());
-  // Fault points live below obs in the layering, so their fire counts are
-  // pulled into the snapshot at scrape time rather than pushed on fire.
-  for (const auto& [name, stats] : util::FaultInjector::instance().all_stats()) {
-    out.counters.push_back({"fault." + name + ".calls", {}, stats.calls});
-    out.counters.push_back({"fault." + name + ".fires", {}, stats.fires});
-  }
+  out.append(metrics_.snapshot(), "serve.");
+  append_process_metrics(out);
   return out;
 }
 

@@ -92,21 +92,16 @@ class TaggingService : public TagService {
   /// join the workers. Idempotent; also run by the destructor.
   void stop();
 
-  [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  [[nodiscard]] std::string metrics_json() const override {
-    return metrics_.snapshot().to_json();
+  /// This service's own registry snapshot (bare names: "submitted", ...).
+  [[nodiscard]] obs::RegistrySnapshot metrics() const {
+    return metrics_.snapshot();
   }
   /// Everything a scrape should see, merged into one snapshot: this
-  /// service's registry (names prefixed "serve."), the process-global
-  /// registry (training/propagation/checkpoint instruments), and the
-  /// fault-injector fire counts as "fault.<point>.{calls,fires}". Feed it
-  /// to the obs exporters — this is what the protocol METRICS flavours
-  /// and --metrics-dump-every serialize.
+  /// service's registry (names prefixed "serve.") plus
+  /// append_process_metrics(). Feed it to the obs exporters — this is what
+  /// the protocol METRICS flavours serialize.
   [[nodiscard]] obs::RegistrySnapshot observability_snapshot() const override;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return workers_.size();
-  }
 
  private:
   void worker_loop(std::size_t worker_id);

@@ -1,11 +1,10 @@
 // The submit-side contract of the serving tier.
 //
 // SocketServer speaks to this interface, so the same TCP front-end serves
-// either a single TaggingService (one worker pool over one model — the PR
-// 2/4 server) or a Router (N replicas, cross-request cache, failover —
-// DESIGN.md §11) without knowing which it got. Everything the wire needs
-// is here: request submission, the two metrics serializations, and the
-// "#REPLICA" admin surface.
+// a Router (N replicas, cross-request cache, failover — DESIGN.md §11;
+// the graphner_router binary) or, in tests, a bare TaggingService without
+// knowing which it got. Everything the wire needs is here: request
+// submission, the metrics snapshot, and the "#REPLICA" admin surface.
 #pragma once
 
 #include <chrono>
@@ -58,11 +57,8 @@ class TagService {
     return submit(std::move(sentence), std::move(options));
   }
 
-  /// The full scrape the "#METRICS JSON|TSV|PROM" flavours serialize.
+  /// The full scrape every "#METRICS [JSON|TSV|PROM]" flavour serializes.
   [[nodiscard]] virtual obs::RegistrySnapshot observability_snapshot() const = 0;
-
-  /// The legacy bare-"#METRICS" one-line JSON body.
-  [[nodiscard]] virtual std::string metrics_json() const = 0;
 
   /// Handle a "#REPLICA <command>" admin line and return the reply body
   /// (free-form lines; the server terminates it with "#END"). The base

@@ -58,7 +58,6 @@ struct Document {
   std::string id;
   std::vector<Sentence> sentences;
 
-  [[nodiscard]] std::size_t sentence_count() const noexcept { return sentences.size(); }
   [[nodiscard]] std::size_t token_count() const noexcept;
 };
 

@@ -59,10 +59,4 @@ void log_warn(Args&&... args) {
     log(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
 }
 
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::kError)
-    log(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
-}
-
 }  // namespace graphner::util

@@ -49,18 +49,6 @@ inline void normalize_inplace(std::span<double> xs) noexcept {
   for (double& x : xs) x /= total;
 }
 
-/// Squared L2 distance between two equal-length spans.
-[[nodiscard]] inline double squared_l2(std::span<const double> a,
-                                       std::span<const double> b) noexcept {
-  assert(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 /// Dot product.
 [[nodiscard]] inline double dot(std::span<const double> a,
                                 std::span<const double> b) noexcept {

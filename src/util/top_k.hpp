@@ -33,11 +33,6 @@ class TopK {
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
   [[nodiscard]] bool full() const noexcept { return heap_.size() == k_; }
 
-  /// Smallest retained score (only meaningful when non-empty).
-  [[nodiscard]] double floor_score() const noexcept {
-    return heap_.empty() ? -1e300 : heap_.front().first;
-  }
-
   /// Consume contents, sorted by descending score (ties by item order).
   [[nodiscard]] std::vector<std::pair<double, Item>> take_sorted() {
     // sort_heap orders ascending w.r.t. the comparator; with min_first

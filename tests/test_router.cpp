@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/corpus/generator.hpp"
@@ -18,6 +19,7 @@
 #include "src/router/router.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/socket_server.hpp"
+#include "src/util/fault.hpp"
 
 namespace graphner::router {
 namespace {
@@ -322,6 +324,56 @@ TEST_F(RouterTier, HotSwapInvalidatesTheRetiredCacheGeneration) {
   EXPECT_EQ(snapshot.counter_value("router.swaps"), 1U);
   EXPECT_EQ(snapshot.counter_value("cache.invalidated"), 1U);
   router.stop();
+}
+
+TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
+  // The first batch stalls 150 ms, holding the old service's drain open
+  // for the whole swap. A poller must never find the replica down or
+  // refusing work in that window: a failover walk that met every replica
+  // mid-swap would answer UNAVAILABLE.
+  util::FaultInjector::instance().configure("worker.stall=1:150:1", 3);
+  serve::ServiceConfig config;
+  config.workers = 1;
+  config.batching.max_queue_depth = 1 << 16;
+  InProcessReplica replica(*model_, config);
+  ReplicaSubmission stalled = replica.submit(sentences_->front(), {});
+  ASSERT_TRUE(stalled.accepted);
+
+  std::atomic<bool> swapping{true};
+  std::atomic<std::size_t> polls{0};
+  std::size_t unhealthy = 0;
+  std::size_t refused = 0;
+  std::vector<std::pair<std::size_t, std::future<serve::TagResponse>>> sent;
+  std::thread poller([&] {
+    for (std::size_t i = 0; swapping.load(); ++i) {
+      if (!replica.healthy()) ++unhealthy;
+      const std::size_t idx = i % sentences_->size();
+      ReplicaSubmission submission = replica.submit((*sentences_)[idx], {});
+      if (submission.accepted)
+        sent.emplace_back(idx, std::move(submission.future));
+      else
+        ++refused;
+      polls.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (polls.load() == 0) std::this_thread::yield();
+  replica.swap_model(*model_);
+  swapping.store(false);
+  poller.join();
+  util::FaultInjector::instance().disable();
+
+  EXPECT_EQ(unhealthy, 0U);
+  EXPECT_EQ(refused, 0U);
+  EXPECT_GT(polls.load(), 1U);
+  EXPECT_TRUE(stalled.future.get().ok());
+  for (auto& [idx, future] : sent) {
+    const serve::TagResponse response = future.get();
+    ASSERT_TRUE(response.ok()) << serve::status_name(response.status) << ' '
+                               << response.error;
+    EXPECT_EQ(response.tags, (*expected_)[idx]);
+  }
+  replica.stop();
 }
 
 TEST_F(RouterTier, AdminStatusListsReplicasAndRejectsNonsense) {

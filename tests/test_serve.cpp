@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,14 @@
 
 namespace graphner::serve {
 namespace {
+
+/// Samples recorded into histogram `name` of a registry snapshot.
+std::uint64_t histogram_count(const obs::RegistrySnapshot& snapshot,
+                              const std::string& name) {
+  for (const auto& h : snapshot.histograms)
+    if (h.name == name) return h.data.count();
+  return 0;
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -88,15 +97,15 @@ TEST_F(ServeTest, EightClientThreadsMatchSequentialDecode) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(results[i], (*expected_)[i]) << i;
 
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, n);
-  EXPECT_EQ(snapshot.completed, n);
-  EXPECT_EQ(snapshot.errors, 0U);
-  EXPECT_EQ(snapshot.rejected_overload, 0U);
-  EXPECT_EQ(snapshot.queue_wait.total(), n);
-  EXPECT_EQ(snapshot.decode.total(), n);
-  EXPECT_GE(snapshot.batches, 1U);
-  EXPECT_EQ(static_cast<std::uint64_t>(snapshot.batch_size.total()),
-            snapshot.batches);
+  EXPECT_EQ(snapshot.counter_value("submitted"), n);
+  EXPECT_EQ(snapshot.counter_value("completed"), n);
+  EXPECT_EQ(snapshot.counter_value("errors"), 0U);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), 0U);
+  EXPECT_EQ(histogram_count(snapshot, "queue_wait_us"), n);
+  EXPECT_EQ(histogram_count(snapshot, "decode_us"), n);
+  EXPECT_GE(snapshot.counter_value("batches"), 1U);
+  EXPECT_EQ(histogram_count(snapshot, "batch_size"),
+            snapshot.counter_value("batches"));
 }
 
 TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
@@ -119,7 +128,7 @@ TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
   }
   const auto snapshot = service.metrics();
   // A burst of 64 against one worker cannot have been 64 singleton batches.
-  EXPECT_LT(snapshot.batches, kBurst);
+  EXPECT_LT(snapshot.counter_value("batches"), kBurst);
   EXPECT_GT(max_batch_seen, 1U);
   EXPECT_LE(max_batch_seen, config.batching.max_batch);
 }
@@ -148,10 +157,10 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   }
   const auto snapshot = service.metrics();
   EXPECT_GT(coalesced, 0U);
-  EXPECT_EQ(snapshot.coalesced, coalesced);
-  EXPECT_EQ(snapshot.completed, kBurst);
+  EXPECT_EQ(snapshot.counter_value("coalesced"), coalesced);
+  EXPECT_EQ(snapshot.counter_value("completed"), kBurst);
   // Per-request metrics are still recorded for coalesced responses.
-  EXPECT_EQ(snapshot.decode.total(), kBurst);
+  EXPECT_EQ(histogram_count(snapshot, "decode_us"), kBurst);
 
   // With coalescing off, no request reports a shared decode.
   ServiceConfig plain = config;
@@ -161,7 +170,7 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   for (std::size_t i = 0; i < 8; ++i)
     plain_futures.push_back(plain_service.submit(sentence));
   for (auto& future : plain_futures) EXPECT_FALSE(future.get().coalesced);
-  EXPECT_EQ(plain_service.metrics().coalesced, 0U);
+  EXPECT_EQ(plain_service.metrics().counter_value("coalesced"), 0U);
 }
 
 TEST_F(ServeTest, BoundedQueueRejectsWithStructuredOverload) {
@@ -192,7 +201,7 @@ TEST_F(ServeTest, BoundedQueueRejectsWithStructuredOverload) {
   // resolved (nothing blocked forever waiting for room).
   EXPECT_GT(overloaded, 0U);
   EXPECT_EQ(ok + overloaded, kFlood);
-  EXPECT_EQ(service.metrics().rejected_overload, overloaded);
+  EXPECT_EQ(service.metrics().counter_value("rejected_overload"), overloaded);
 }
 
 TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
@@ -210,7 +219,7 @@ TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
 
   const auto rejected = service.submit((*sentences_)[0]).get();
   EXPECT_EQ(rejected.status, Status::kShutdown);
-  EXPECT_EQ(service.metrics().rejected_shutdown, 1U);
+  EXPECT_EQ(service.metrics().counter_value("rejected_shutdown"), 1U);
 }
 
 TEST_F(ServeTest, EmptySentenceTagsToEmpty) {
@@ -259,11 +268,12 @@ TEST_F(ServeTest, SocketServerRoundTripsAgainstOfflineDecode) {
   EXPECT_EQ(json_response.rfind("{\"id\":\"j1\",\"status\":\"ok\",\"tags\":[", 0), 0U)
       << json_response;
 
+  // Bare "#METRICS" answers the full JSON snapshot (serve.* names).
   connection.send_line("#METRICS");
   std::string metrics_line;
   ASSERT_TRUE(connection.recv_line(metrics_line));
   EXPECT_EQ(metrics_line.front(), '{');
-  EXPECT_NE(metrics_line.find("\"completed\":"), std::string::npos);
+  EXPECT_NE(metrics_line.find("\"serve.completed\":"), std::string::npos);
 
   connection.send_line("#QUIT");
   std::string eof_line;
@@ -360,9 +370,10 @@ TEST_F(ServeTest, DeadlinedRequestsAreShedBeforeDecode) {
     EXPECT_FALSE(response.degraded);
   }
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.deadline_expired, kN);
-  EXPECT_EQ(snapshot.completed, 0U);  // nothing wasted worker time on decode
-  EXPECT_EQ(snapshot.submitted, kN);
+  EXPECT_EQ(snapshot.counter_value("deadline_expired"), kN);
+  // Nothing wasted worker time on decode.
+  EXPECT_EQ(snapshot.counter_value("completed"), 0U);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kN);
 }
 
 TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
@@ -406,7 +417,7 @@ TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
   // the last batch sees an empty queue and recovers before decoding.
   EXPECT_GT(degraded_count, 0U);
   EXPECT_LT(degraded_count, kFlood);
-  EXPECT_EQ(service.metrics().degraded, degraded_count);
+  EXPECT_EQ(service.metrics().counter_value("degraded"), degraded_count);
   EXPECT_FALSE(service.degraded());
 
   // Post-flood traffic is full quality again.
@@ -457,10 +468,10 @@ TEST_F(ServeTest, PushRacingShutdownResolvesEveryFuture) {
   }
   EXPECT_EQ(ok + shutdown + overloaded, kProducers * kPerProducer);
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kProducers * kPerProducer);
-  EXPECT_EQ(snapshot.completed, ok);
-  EXPECT_EQ(snapshot.rejected_shutdown, shutdown);
-  EXPECT_EQ(snapshot.rejected_overload, overloaded);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kProducers * kPerProducer);
+  EXPECT_EQ(snapshot.counter_value("completed"), ok);
+  EXPECT_EQ(snapshot.counter_value("rejected_shutdown"), shutdown);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), overloaded);
 }
 
 TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
@@ -499,10 +510,10 @@ TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
   EXPECT_GT(overloaded, 0U);
   EXPECT_GT(expired, 0U);
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kFlood);
-  EXPECT_EQ(snapshot.completed, ok);
-  EXPECT_EQ(snapshot.rejected_overload, overloaded);
-  EXPECT_EQ(snapshot.deadline_expired, expired);
+  EXPECT_EQ(snapshot.counter_value("submitted"), kFlood);
+  EXPECT_EQ(snapshot.counter_value("completed"), ok);
+  EXPECT_EQ(snapshot.counter_value("rejected_overload"), overloaded);
+  EXPECT_EQ(snapshot.counter_value("deadline_expired"), expired);
 }
 
 TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
@@ -522,9 +533,11 @@ TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
   }
   service.stop();
   const auto snapshot = service.metrics();
-  EXPECT_EQ(snapshot.submitted, kN);
-  EXPECT_EQ(snapshot.completed + snapshot.rejected_overload +
-                snapshot.rejected_shutdown + snapshot.deadline_expired,
+  EXPECT_EQ(snapshot.counter_value("submitted"), kN);
+  EXPECT_EQ(snapshot.counter_value("completed") +
+                snapshot.counter_value("rejected_overload") +
+                snapshot.counter_value("rejected_shutdown") +
+                snapshot.counter_value("deadline_expired"),
             kN);
 }
 
@@ -622,7 +635,8 @@ TEST_F(ServeTest, RequestWithRetryRecoversFromDeadlineExceeded) {
   ASSERT_TRUE(connection.request_with_retry("r1\tthe BRCA1 gene", response,
                                             policy));
   EXPECT_EQ(response_status(response), "OK") << response;
-  EXPECT_GE(service.metrics().deadline_expired, 1U);  // attempt 1 was shed
+  // Attempt 1 was shed.
+  EXPECT_GE(service.metrics().counter_value("deadline_expired"), 1U);
   server.stop();
   service.stop();
 }
@@ -812,9 +826,9 @@ TEST_F(ServeTest, RequestDeadlineBoundsTheRetryLoop) {
 }
 
 TEST(ServeProtocol, ParsesMetricsFlavours) {
-  const auto legacy = parse_request_line("#METRICS");
-  ASSERT_EQ(legacy.kind, LineKind::kMetrics);
-  EXPECT_EQ(legacy.metrics_flavour, MetricsFlavour::kLegacy);
+  const auto bare = parse_request_line("#METRICS");
+  ASSERT_EQ(bare.kind, LineKind::kMetrics);
+  EXPECT_EQ(bare.metrics_flavour, MetricsFlavour::kJson);
 
   const auto json = parse_request_line("#METRICS JSON");
   ASSERT_EQ(json.kind, LineKind::kMetrics);
