@@ -2,14 +2,20 @@
 //
 // Not a paper exhibit — these cover the inner loops whose complexity the
 // paper analyzes in §II-E: CRF forward-backward and Viterbi (order 1/2),
-// sparse cosine, exact k-NN construction, and one propagation sweep.
+// sparse cosine, exact k-NN construction, and one propagation sweep — plus
+// the served decode path end to end on a trained model: feature encoding
+// (which the pre-encoded Viterbi benches skip) and the blended decode.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <vector>
 
+#include "src/corpus/generator.hpp"
 #include "src/crf/model.hpp"
+#include "src/features/encoder.hpp"
+#include "src/graphner/pipeline.hpp"
 #include "src/graph/knn_graph.hpp"
 #include "src/graph/sparse_vector.hpp"
 #include "src/propagation/propagation.hpp"
@@ -129,6 +135,61 @@ void BM_CrfGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrfGradient);
+
+/// A BANNER model trained on the scale-1 BC2GM-like corpus, its feature
+/// index rebuilt the way training builds it, and 512 held-out sentences.
+/// Trained once, on first use.
+struct TrainedModel {
+  std::unique_ptr<core::GraphNerModel> model;
+  crf::FeatureIndex index;
+  std::vector<text::Sentence> held_out;
+};
+
+const TrainedModel& trained_model() {
+  static const TrainedModel trained = [] {
+    TrainedModel out;
+    const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(1.0, 1));
+    out.model = std::make_unique<core::GraphNerModel>(
+        core::GraphNerModel::train(data.train, {}, core::GraphNerConfig{}));
+    for (const auto& sentence : data.train)
+      for (const auto& names : out.model->extractor().extract(sentence))
+        for (const auto& name : names) out.index.intern(name);
+    out.index.freeze();
+    auto spec = corpus::bc2gm_like_spec(1.0, 2);
+    spec.train_sentences = 0;
+    spec.test_sentences = 512;
+    out.held_out = corpus::generate_corpus(spec).test;
+    return out;
+  }();
+  return trained;
+}
+
+void BM_EncodeForInference(benchmark::State& state) {
+  const TrainedModel& trained = trained_model();
+  features::EncodeScratch encode;  // warm, as in a serving worker
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(features::encode_for_inference(
+        trained.held_out[next], trained.model->extractor(), trained.index, encode));
+    next = (next + 1) % trained.held_out.size();
+  }
+  state.SetLabel("BANNER, scale-1 BC2GM-like, held-out sentences");
+}
+BENCHMARK(BM_EncodeForInference);
+
+void BM_DecodeOneBlended(benchmark::State& state) {
+  const TrainedModel& trained = trained_model();
+  crf::LinearChainCrf::Scratch scratch;
+  features::EncodeScratch encode;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        trained.model->decode_one_blended(trained.held_out[next], scratch, encode));
+    next = (next + 1) % trained.held_out.size();
+  }
+  state.SetLabel("BANNER, scale-1 BC2GM-like, held-out sentences");
+}
+BENCHMARK(BM_DecodeOneBlended);
 
 std::vector<graph::SparseVector> random_vectors(std::size_t count, std::size_t dims,
                                                 std::size_t nnz, util::Rng& rng) {

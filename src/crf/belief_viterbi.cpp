@@ -53,9 +53,10 @@ namespace {
 /// (but legal) positions can never collapse to 0 and be mistaken for an
 /// illegal path.
 template <typename TransitionAt>
-std::vector<Tag> belief_viterbi_impl(const std::vector<text::LabelDist>& beliefs,
+std::vector<Tag> belief_viterbi_impl(std::span<const text::LabelDist> beliefs,
                                      TransitionAt&& transition_at,
-                                     const text::LabelSet& labels) {
+                                     const text::LabelSet& labels,
+                                     BeliefViterbiScratch& rows) {
   const std::size_t n = beliefs.size();
   const std::size_t L = labels.num_labels();
   std::vector<Tag> tags(n);
@@ -63,8 +64,12 @@ std::vector<Tag> belief_viterbi_impl(const std::vector<text::LabelDist>& beliefs
   assert(beliefs[0].size() == L);
 
   constexpr double kScoreFloor = 1e-280;
-  std::vector<text::LabelDist> score(n, text::LabelDist(L));
-  std::vector<std::array<std::size_t, text::kMaxLabels>> back(n);
+  // Every row entry in [0, L) is written before it is read, and rows only
+  // grow, so a warm scratch allocates nothing here.
+  if (rows.score.size() < n) rows.score.resize(n);
+  if (rows.back.size() < n) rows.back.resize(n);
+  auto& score = rows.score;
+  auto& back = rows.back;
 
   for (std::size_t t = 0; t < L; ++t) {
     const bool legal_start = labels.is_legal_start(text::tag_from_index(t));
@@ -89,7 +94,7 @@ std::vector<Tag> belief_viterbi_impl(const std::vector<text::LabelDist>& beliefs
       }
       const double v = best * std::max(beliefs[i][t], kEps);
       score[i][t] = v;
-      back[i][t] = arg;
+      back[i][t] = static_cast<std::uint8_t>(arg);
       row_max = std::max(row_max, v);
     }
     if (row_max > 0.0) {
@@ -119,26 +124,34 @@ std::vector<Tag> belief_viterbi_impl(const std::vector<text::LabelDist>& beliefs
 
 }  // namespace
 
-std::vector<Tag> belief_viterbi(const std::vector<text::LabelDist>& beliefs,
+std::vector<Tag> belief_viterbi(std::span<const text::LabelDist> beliefs,
                                 const TagTransitionMatrix& transitions,
                                 const text::LabelSet& labels) {
+  BeliefViterbiScratch rows;
   return belief_viterbi_impl(
       beliefs,
       [&](std::size_t) -> const TagTransitionMatrix& { return transitions; },
-      labels);
+      labels, rows);
 }
 
-std::vector<Tag> belief_viterbi(
-    const std::vector<text::LabelDist>& beliefs,
-    const std::vector<TagTransitionMatrix>& per_edge_transitions,
-    const text::LabelSet& labels) {
+std::vector<Tag> belief_viterbi(std::span<const text::LabelDist> beliefs,
+                                std::span<const TagTransitionMatrix> per_edge_transitions,
+                                const text::LabelSet& labels) {
+  BeliefViterbiScratch rows;
+  return belief_viterbi(beliefs, per_edge_transitions, labels, rows);
+}
+
+std::vector<Tag> belief_viterbi(std::span<const text::LabelDist> beliefs,
+                                std::span<const TagTransitionMatrix> per_edge_transitions,
+                                const text::LabelSet& labels,
+                                BeliefViterbiScratch& rows) {
   assert(per_edge_transitions.size() == beliefs.size());
   return belief_viterbi_impl(
       beliefs,
       [&](std::size_t i) -> const TagTransitionMatrix& {
         return per_edge_transitions[i];
       },
-      labels);
+      labels, rows);
 }
 
 }  // namespace graphner::crf

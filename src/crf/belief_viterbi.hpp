@@ -10,6 +10,9 @@
 // defaulted `labels` parameter is the legacy single-type {B, I, O} set.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/text/label_set.hpp"
@@ -21,11 +24,19 @@ namespace graphner::crf {
 /// rows need not be perfectly normalized.
 using TagTransitionMatrix = text::LabelMatrix;
 
+/// Reusable score/backpointer rows of the in-place belief_viterbi. Rows
+/// grow to the longest sentence seen and are then reused without
+/// allocation.
+struct BeliefViterbiScratch {
+  std::vector<text::LabelDist> score;
+  std::vector<std::array<std::uint8_t, text::kMaxLabels>> back;
+};
+
 /// Decode argmax_t sum_i log(beliefs[i][t_i]) + sum_i log(T[t_{i-1}][t_i])
 /// with the BIO constraint of `labels` enforced.
 /// Zero beliefs/transitions are floored at a tiny epsilon.
 [[nodiscard]] std::vector<text::Tag> belief_viterbi(
-    const std::vector<text::LabelDist>& beliefs,
+    std::span<const text::LabelDist> beliefs,
     const TagTransitionMatrix& transitions,
     const text::LabelSet& labels = text::LabelSet::single());
 
@@ -36,9 +47,16 @@ using TagTransitionMatrix = text::LabelMatrix;
 /// order 1 — a corpus-aggregated matrix misprices rare transitions (e.g.
 /// rewards B -> I between two adjacent single-token mentions).
 [[nodiscard]] std::vector<text::Tag> belief_viterbi(
-    const std::vector<text::LabelDist>& beliefs,
-    const std::vector<TagTransitionMatrix>& per_edge_transitions,
+    std::span<const text::LabelDist> beliefs,
+    std::span<const TagTransitionMatrix> per_edge_transitions,
     const text::LabelSet& labels = text::LabelSet::single());
+
+/// The per-edge decode on caller-owned rows: the only allocation is the
+/// returned tag vector.
+[[nodiscard]] std::vector<text::Tag> belief_viterbi(
+    std::span<const text::LabelDist> beliefs,
+    std::span<const TagTransitionMatrix> per_edge_transitions,
+    const text::LabelSet& labels, BeliefViterbiScratch& scratch);
 
 /// Turn expected tag-bigram counts into the pairwise/marginal ratio
 /// R[a][b] = p(a,b) / (p(a) p(b)). For a chain-structured distribution the

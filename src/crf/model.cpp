@@ -389,18 +389,18 @@ double LinearChainCrf::log_likelihood(const EncodedSentence& sentence,
   return log_likelihood(sentence, grad, scratch);
 }
 
-SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
-                                              Scratch& sc) const {
+double LinearChainCrf::posteriors(const EncodedSentence& sentence, Scratch& sc,
+                                  std::span<text::LabelDist> tag_marginals,
+                                  std::span<text::LabelMatrix> pairwise_marginals) const {
   const std::size_t n = sentence.size();
   const std::size_t S = space_.num_states();
+  assert(tag_marginals.size() >= n && pairwise_marginals.size() >= n);
   run_forward_backward(sentence, sc);
 
   const std::size_t L = space_.num_labels();
-  SentencePosteriors out;
-  out.log_z = sc.log_z;
-  out.tag_marginals.assign(n, text::LabelDist(L));
   for (std::size_t i = 0; i < n; ++i) {
-    auto& row = out.tag_marginals[i];
+    auto& row = tag_marginals[i];
+    row.resize(L);
     row.fill(0.0);
     const double* m = sc.node.data() + i * S;
     for (std::size_t s = 0; s < S; ++s) row[state_tag_idx_[s]] += m[s];
@@ -408,15 +408,26 @@ SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
   }
 
   // Pairwise tag marginals (entry 0 unused).
-  out.pairwise_marginals.assign(n, text::LabelMatrix(L));
   const std::size_t num_trans = space_.transitions().size();
   for (std::size_t i = 1; i < n; ++i) {
-    auto& cell = out.pairwise_marginals[i];
+    auto& cell = pairwise_marginals[i];
+    if (cell.n() != L) cell = text::LabelMatrix(L);
     cell.fill(0.0);
     const double* pw = sc.pair.data() + i * num_trans;
     for (std::size_t t = 0; t < num_trans; ++t) cell[slot_tag_pair_[t]] += pw[t];
     util::normalize_inplace(cell);
   }
+  return sc.log_z;
+}
+
+SentencePosteriors LinearChainCrf::posteriors(const EncodedSentence& sentence,
+                                              Scratch& sc) const {
+  const std::size_t n = sentence.size();
+  const std::size_t L = space_.num_labels();
+  SentencePosteriors out;
+  out.tag_marginals.assign(n, text::LabelDist(L));
+  out.pairwise_marginals.assign(n, text::LabelMatrix(L));
+  out.log_z = posteriors(sentence, sc, out.tag_marginals, out.pairwise_marginals);
   return out;
 }
 

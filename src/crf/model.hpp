@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "src/crf/belief_viterbi.hpp"
 #include "src/crf/dataset.hpp"
 #include "src/crf/state_space.hpp"
 #include "src/text/tag.hpp"
@@ -61,6 +62,14 @@ class LinearChainCrf {
     std::vector<double> vscore; ///< n x S Viterbi scores (log domain)
     std::vector<StateId> vback; ///< n x S Viterbi backpointers
     double log_z = 0.0;
+    // Rows of the blended decode (GraphNerModel::decode_one_blended): tag
+    // and pairwise posteriors, mixed beliefs, per-edge transition ratios
+    // and the belief-Viterbi rows. Grow-only, like every buffer above.
+    std::vector<text::LabelDist> marginals;
+    std::vector<text::LabelMatrix> pairwise;
+    std::vector<text::LabelDist> beliefs;
+    std::vector<text::LabelMatrix> edge_ratios;
+    BeliefViterbiScratch belief_rows;
   };
 
   LinearChainCrf(StateSpace space, std::size_t num_features);
@@ -100,6 +109,13 @@ class LinearChainCrf {
   /// Tag-level posterior marginals (states folded down to tags).
   SentencePosteriors posteriors(const EncodedSentence& sentence,
                                 Scratch& scratch) const;
+  /// The same posteriors into caller rows (one per position): fills
+  /// tag_marginals[0, n) and pairwise_marginals[1, n), resizing any row not
+  /// already sized to the label count, and returns log Z. Allocates nothing
+  /// on a warm scratch and correctly sized rows.
+  double posteriors(const EncodedSentence& sentence, Scratch& scratch,
+                    std::span<text::LabelDist> tag_marginals,
+                    std::span<text::LabelMatrix> pairwise_marginals) const;
   [[nodiscard]] SentencePosteriors posteriors(const EncodedSentence& sentence) const;
 
   /// Expected tag-bigram counts E[count(t at i-1, t' at i)] summed over the

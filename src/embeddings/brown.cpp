@@ -505,15 +505,17 @@ BrownClustering BrownClustering::train(const std::vector<text::Sentence>& senten
   return result;
 }
 
-std::string BrownClustering::path(const std::string& word) const {
+std::string_view BrownClustering::path_view(const std::string& word) const {
   const int c = cluster(word);
-  return c < 0 ? std::string{} : paths_[static_cast<std::size_t>(c)];
+  return c < 0 ? std::string_view{} : std::string_view(paths_[static_cast<std::size_t>(c)]);
+}
+
+std::string BrownClustering::path(const std::string& word) const {
+  return std::string(path_view(word));
 }
 
 std::string BrownClustering::path_prefix(const std::string& word, std::size_t n) const {
-  std::string p = path(word);
-  if (p.size() > n) p.resize(n);
-  return p;
+  return std::string(path_view(word).substr(0, n));
 }
 
 void BrownClustering::save(std::ostream& out) const {
@@ -571,7 +573,13 @@ BrownClustering BrownClustering::load(std::istream& in) {
 }
 
 int BrownClustering::cluster(const std::string& word) const {
-  const auto it = word_cluster_.find(util::to_lower(word));
+  // Feature extraction passes words it already lowercased: look those up
+  // as they are instead of copying them.
+  const bool lowercase = std::none_of(word.begin(), word.end(), [](unsigned char c) {
+    return std::isupper(c) != 0;
+  });
+  const auto it = lowercase ? word_cluster_.find(word)
+                            : word_cluster_.find(util::to_lower(word));
   return it == word_cluster_.end() ? -1 : it->second;
 }
 

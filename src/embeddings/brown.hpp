@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +56,9 @@ class BrownClustering {
 
   /// Path prefix of length n (whole path if shorter); empty if unknown.
   [[nodiscard]] std::string path_prefix(const std::string& word, std::size_t n) const;
+
+  /// path() as a view into the model (valid while it lives); no copy.
+  [[nodiscard]] std::string_view path_view(const std::string& word) const;
 
   /// Flat cluster id in [0, num_clusters); -1 if unknown.
   [[nodiscard]] int cluster(const std::string& word) const;

@@ -1,6 +1,11 @@
 // Bridges string features to the CRF's dense ids.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/crf/dataset.hpp"
@@ -8,6 +13,7 @@
 #include "src/crf/state_space.hpp"
 #include "src/features/extractor.hpp"
 #include "src/text/sentence.hpp"
+#include "src/util/strings.hpp"
 
 namespace graphner::features {
 
@@ -22,13 +28,36 @@ namespace graphner::features {
     const text::Sentence& sentence, const FeatureExtractor& extractor,
     const crf::FeatureIndex& index);
 
+/// Memo of token-local feature rows: for each in-vocabulary token (its
+/// "W=" name is in the index) encoded so far, the sorted ids of its
+/// Templates::kLocal features. Its size is bounded by the index's "W="
+/// vocabulary. Valid for one (index, extractor) pair, identified by their
+/// serials, and emptied when either changes.
+struct TokenMemo {
+  std::uint64_t index_serial = 0;
+  std::uint64_t extractor_serial = 0;
+  /// token -> [begin, end) of its row in `ids`
+  std::unordered_map<std::string, std::pair<std::uint32_t, std::uint32_t>,
+                     util::StringHash, std::equal_to<>>
+      rows;
+  std::vector<crf::FeatureIndex::Id> ids;
+};
+
 /// Reusable buffers for the in-place inference encoder. One per serving
-/// worker: both the string-feature staging area and the encoded id rows
-/// keep their capacity across sentences, so steady-state encoding does no
-/// per-sentence vector reallocation.
+/// worker (no locks: nothing in it is shared): the template buffers, the id
+/// rows and the token memo keep their contents across sentences, so once
+/// warm, encoding allocates nothing. After a call, `text.lowered` holds the
+/// sentence's lowercased tokens (the blended decode builds its trigram keys
+/// from them).
 struct EncodeScratch {
-  std::vector<TokenFeatures> features;
+  TemplateScratch text;
   crf::EncodedSentence encoded;
+  /// Id rows of earlier, longer sentences, kept with their capacity.
+  std::vector<std::vector<crf::FeatureIndex::Id>> parked_rows;
+  std::vector<crf::FeatureIndex::Id> local;   ///< a memo miss's local ids
+  std::vector<crf::FeatureIndex::Id> merged;  ///< context + local ids
+  TokenMemo memo;
+  std::string trigram_key;  ///< the blended decode's reference-table key
 };
 
 /// In-place variant of encode_for_inference for hot tagging paths; returns

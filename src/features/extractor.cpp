@@ -1,25 +1,20 @@
 #include "src/features/extractor.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cctype>
+#include <charconv>
 
 #include "src/features/gazetteer.hpp"
-
 #include "src/text/lemmatizer.hpp"
+#include "src/util/serial.hpp"
 #include "src/util/strings.hpp"
 
 namespace graphner::features {
 namespace {
 
-using util::to_lower;
-
-[[nodiscard]] std::string token_at(const text::Sentence& sentence, long long pos) {
-  if (pos < 0) return "<s>";
-  if (pos >= static_cast<long long>(sentence.size())) return "</s>";
-  return sentence.tokens[static_cast<std::size_t>(pos)];
-}
-
-[[nodiscard]] const char* length_bucket(std::size_t n) noexcept {
+[[nodiscard]] std::string_view length_bucket(std::size_t n) noexcept {
   if (n == 1) return "1";
   if (n == 2) return "2";
   if (n <= 4) return "3-4";
@@ -27,9 +22,30 @@ using util::to_lower;
   return "7+";
 }
 
+/// Decimal text of a cluster id, in caller storage.
+[[nodiscard]] std::string_view int_text(int value, std::array<char, 16>& buffer) noexcept {
+  const auto result = std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
+  return {buffer.data(), static_cast<std::size_t>(result.ptr - buffer.data())};
+}
+
+[[nodiscard]] bool includes(Templates which, Templates part) noexcept {
+  return (static_cast<unsigned>(which) & static_cast<unsigned>(part)) != 0;
+}
+
 }  // namespace
 
-bool is_roman_numeral(const std::string& token) noexcept {
+void TemplateScratch::lower(const text::Sentence& sentence, std::size_t lo,
+                            std::size_t hi) {
+  length = sentence.size();
+  if (lowered.size() < length) lowered.resize(length);
+  for (std::size_t p = lo; p < hi; ++p) {
+    std::string& out = lowered[p];
+    out.assign(sentence.tokens[p]);
+    for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+}
+
+bool is_roman_numeral(std::string_view token) noexcept {
   if (token.empty()) return false;
   for (char c : token) {
     switch (c) {
@@ -42,143 +58,201 @@ bool is_roman_numeral(const std::string& token) noexcept {
   return token.size() <= 4;  // gene contexts rarely exceed short numerals
 }
 
-bool is_greek_letter(const std::string& token) noexcept {
+bool is_greek_letter(std::string_view token) noexcept {
   static constexpr std::array<std::string_view, 12> kGreek = {
       "alpha", "beta",  "gamma", "delta", "epsilon", "zeta",
       "eta",   "theta", "kappa", "lambda", "sigma",  "omega"};
-  const std::string lowered = to_lower(token);
-  for (const auto& g : kGreek)
-    if (lowered == g) return true;
-  return false;
+  const auto same_lowered = [&](std::string_view greek) {
+    return std::equal(token.begin(), token.end(), greek.begin(), greek.end(),
+                      [](char c, char g) {
+                        return std::tolower(static_cast<unsigned char>(c)) == g;
+                      });
+  };
+  return std::any_of(kGreek.begin(), kGreek.end(), same_lowered);
 }
 
-TokenFeatures FeatureExtractor::extract_at(const text::Sentence& sentence,
-                                           std::size_t position) const {
-  TokenFeatures out;
-  extract_at_into(sentence, position, out);
-  return out;
+FeatureExtractor::FeatureExtractor(FeatureConfig config)
+    : config_(std::move(config)), serial_(util::next_serial()) {
+  const auto w = static_cast<long long>(config_.context_window);
+  for (long long d = -w; d <= w; ++d)
+    if (d != 0) context_names_.push_back("C[" + std::to_string(d) + "]=");
+  for (std::size_t n = 1; n <= config_.max_affix_length; ++n) {
+    prefix_names_.push_back("PRE" + std::to_string(n) + "=");
+    suffix_names_.push_back("SUF" + std::to_string(n) + "=");
+  }
 }
 
-void FeatureExtractor::extract_at_into(const text::Sentence& sentence,
-                                       std::size_t position,
-                                       TokenFeatures& out) const {
+void FeatureExtractor::for_each_feature_at(const text::Sentence& sentence,
+                                           std::size_t position,
+                                           TemplateScratch& scratch, FeatureSink sink,
+                                           Templates which) const {
   assert(position < sentence.size());
-  out.clear();
-  out.reserve(32);
+  const bool local = includes(which, Templates::kLocal);
+  const bool context = includes(which, Templates::kContext);
   const std::string& token = sentence.tokens[position];
-  const std::string lowered = to_lower(token);
+  const auto pos = static_cast<long long>(position);
+  const std::string& lowered = scratch.lowered_at(pos);
+  std::string& name = scratch.name;
+  // `value` never aliases `name`: it views the token, a lowered token, a
+  // model table or scratch.word.
+  const auto emit = [&](std::string_view prefix, std::string_view value) {
+    name.assign(prefix);
+    name.append(value);
+    sink(position, name);
+  };
+  const auto flag = [&](bool on, std::string_view feature) {
+    if (on) sink(position, feature);
+  };
 
-  if (config_.token_identity) {
-    out.push_back("W=" + token);
-    out.push_back("WL=" + lowered);
+  if (local && config_.token_identity) {
+    emit("W=", token);
+    emit("WL=", lowered);
   }
-  if (config_.lemmas) out.push_back("LEMMA=" + text::lemmatize(token));
-
-  if (config_.context) {
+  if (local && config_.lemmas) {
+    text::lemmatize_into(lowered, scratch.word);
+    emit("LEMMA=", scratch.word);
+  }
+  if (context && config_.context) {
     const auto w = static_cast<long long>(config_.context_window);
-    for (long long d = -w; d <= w; ++d) {
-      if (d == 0) continue;
-      out.push_back("C[" + std::to_string(d) + "]=" +
-                    to_lower(token_at(sentence, static_cast<long long>(position) + d)));
+    std::size_t k = 0;
+    for (long long d = -w; d <= w; ++d)
+      if (d != 0) emit(context_names_[k++], scratch.lowered_at(pos + d));
+  }
+  if (context && config_.token_bigrams) {
+    name.assign("BG[-1]=");
+    name += scratch.lowered_at(pos - 1);
+    name += '_';
+    name += lowered;
+    sink(position, name);
+    name.assign("BG[+1]=");
+    name += lowered;
+    name += '_';
+    name += scratch.lowered_at(pos + 1);
+    sink(position, name);
+  }
+  if (local && config_.shapes) {
+    name.assign("SHAPE=");
+    util::append_word_shape(name, token);
+    sink(position, name);
+    name.assign("CSHAPE=");
+    util::append_compressed_shape(name, token);
+    sink(position, name);
+  }
+  if (local && config_.affixes) {
+    const std::string_view view = lowered;
+    for (std::size_t n = 1; n <= config_.max_affix_length && n < view.size(); ++n) {
+      emit(prefix_names_[n - 1], view.substr(0, n));
+      emit(suffix_names_[n - 1], view.substr(view.size() - n));
     }
   }
-  if (config_.token_bigrams) {
-    out.push_back("BG[-1]=" +
-                  to_lower(token_at(sentence, static_cast<long long>(position) - 1)) +
-                  "_" + lowered);
-    out.push_back("BG[+1]=" + lowered + "_" +
-                  to_lower(token_at(sentence, static_cast<long long>(position) + 1)));
+  if (local && config_.char_ngrams) {
+    std::string& padded = scratch.word;
+    padded.assign("^");
+    padded += lowered;
+    padded += '$';
+    const std::string_view view = padded;
+    for (std::size_t n = 2; n <= 3 && view.size() >= n; ++n)
+      for (std::size_t i = 0; i + n <= view.size(); ++i)
+        emit(n == 2 ? "CN2=" : "CN3=", view.substr(i, n));
   }
-  if (config_.shapes) {
-    out.push_back("SHAPE=" + util::word_shape(token));
-    out.push_back("CSHAPE=" + util::compressed_shape(token));
+  if (local && config_.orthographic) {
+    const bool digit = util::has_digit(token);
+    const bool letter = util::has_letter(token);
+    flag(util::is_all_caps(token), "ALLCAPS");
+    flag(util::is_init_caps(token), "INITCAP");
+    flag(util::is_all_digits(token), "ALLDIGITS");
+    flag(digit && letter, "ALPHANUM");
+    flag(digit, "HASDIGIT");
+    flag(token.find('-') != std::string::npos, "HASDASH");
+    flag(token.find('/') != std::string::npos, "HASSLASH");
+    flag(!letter && !digit, "ISPUNCT");
+    flag(token.size() == 1, "SINGLECHAR");
+    flag(is_roman_numeral(token), "ROMAN");
+    flag(is_greek_letter(token), "GREEK");
   }
-  if (config_.affixes) {
-    for (std::size_t n = 1; n <= config_.max_affix_length && n < lowered.size(); ++n) {
-      out.push_back("PRE" + std::to_string(n) + "=" + lowered.substr(0, n));
-      out.push_back("SUF" + std::to_string(n) + "=" + lowered.substr(lowered.size() - n));
-    }
-  }
-  if (config_.char_ngrams) {
-    const std::string padded = "^" + lowered + "$";
-    for (std::size_t n = 2; n <= 3; ++n) {
-      if (padded.size() < n) break;
-      for (std::size_t i = 0; i + n <= padded.size(); ++i)
-        out.push_back("CN" + std::to_string(n) + "=" + padded.substr(i, n));
-    }
-  }
-  if (config_.orthographic) {
-    if (util::is_all_caps(token)) out.emplace_back("ALLCAPS");
-    if (util::is_init_caps(token)) out.emplace_back("INITCAP");
-    if (util::is_all_digits(token)) out.emplace_back("ALLDIGITS");
-    if (util::has_digit(token) && util::has_letter(token)) out.emplace_back("ALPHANUM");
-    if (util::has_digit(token)) out.emplace_back("HASDIGIT");
-    if (token.find('-') != std::string::npos) out.emplace_back("HASDASH");
-    if (token.find('/') != std::string::npos) out.emplace_back("HASSLASH");
-    if (!util::has_letter(token) && !util::has_digit(token)) out.emplace_back("ISPUNCT");
-    if (token.size() == 1) out.emplace_back("SINGLECHAR");
-    if (is_roman_numeral(token)) out.emplace_back("ROMAN");
-    if (is_greek_letter(token)) out.emplace_back("GREEK");
-  }
-  if (config_.length_bucket)
-    out.push_back(std::string("LEN=") + length_bucket(token.size()));
+  if (local && config_.length_bucket) emit("LEN=", length_bucket(token.size()));
 
-  if (config_.brown != nullptr) {
-    for (const std::size_t n : {4U, 6U, 10U}) {
-      const std::string prefix = config_.brown->path_prefix(lowered, n);
-      if (!prefix.empty())
-        out.push_back("BR" + std::to_string(n) + "=" + prefix);
+  if (const auto* brown = config_.brown) {
+    static constexpr std::array<std::pair<std::size_t, std::string_view>, 3> kPaths = {
+        {{4, "BR4="}, {6, "BR6="}, {10, "BR10="}}};
+    for (const auto& [n, prefix_name] : kPaths) {
+      if (!local) break;
+      const std::string_view prefix = brown->path_view(lowered).substr(0, n);
+      if (!prefix.empty()) emit(prefix_name, prefix);
     }
     // Context Brown paths link unseen symbols to seen ones via neighbours.
     for (const long long d : {-1LL, 1LL}) {
-      const std::string ctx =
-          to_lower(token_at(sentence, static_cast<long long>(position) + d));
-      const std::string prefix = config_.brown->path_prefix(ctx, 6);
-      if (!prefix.empty())
-        out.push_back("BRC[" + std::to_string(d) + "]=" + prefix);
+      if (!context) break;
+      const std::string_view prefix =
+          brown->path_view(scratch.lowered_at(pos + d)).substr(0, 6);
+      if (!prefix.empty()) emit(d < 0 ? "BRC[-1]=" : "BRC[1]=", prefix);
     }
   }
-  if (config_.embedding_clusters != nullptr) {
-    const int c = config_.embedding_clusters->cluster(lowered);
-    if (c >= 0) out.push_back("EMB=" + std::to_string(c));
+  if (const auto* clusters = config_.embedding_clusters) {
+    std::array<char, 16> digits{};
+    if (const int c = local ? clusters->cluster(lowered) : -1; c >= 0)
+      emit("EMB=", int_text(c, digits));
     for (const long long d : {-1LL, 1LL}) {
-      const std::string ctx =
-          to_lower(token_at(sentence, static_cast<long long>(position) + d));
-      const int cc = config_.embedding_clusters->cluster(ctx);
-      if (cc >= 0)
-        out.push_back("EMBC[" + std::to_string(d) + "]=" + std::to_string(cc));
+      if (!context) break;
+      const int cc = clusters->cluster(scratch.lowered_at(pos + d));
+      if (cc >= 0) emit(d < 0 ? "EMBC[-1]=" : "EMBC[1]=", int_text(cc, digits));
+    }
+  }
+}
+
+void FeatureExtractor::for_each_feature(const text::Sentence& sentence,
+                                        TemplateScratch& scratch, FeatureSink sink,
+                                        Templates which) const {
+  const std::size_t n = sentence.size();
+  scratch.lower(sentence, 0, n);
+  for (std::size_t i = 0; i < n; ++i) for_each_feature_at(sentence, i, scratch, sink, which);
+  if (which == Templates::kLocal) return;
+
+  if (config_.gazetteer != nullptr)
+    config_.gazetteer->for_each_feature(
+        std::span<const std::string>(scratch.lowered.data(), n), scratch.name,
+        scratch.phrase, sink);
+
+  if (config_.pos_tagger != nullptr && n > 0) {
+    const auto pos = config_.pos_tagger->tag(sentence.tokens);
+    std::string& name = scratch.name;
+    for (std::size_t i = 0; i < n; ++i) {
+      name.assign("POS=");
+      name += pos[i];
+      sink(i, name);
+      name.assign("POS[-1]=");
+      name += i > 0 ? std::string_view(pos[i - 1]) : std::string_view("<s>");
+      sink(i, name);
+      name.assign("POS[+1]=");
+      name += i + 1 < n ? std::string_view(pos[i + 1]) : std::string_view("</s>");
+      sink(i, name);
     }
   }
 }
 
 std::vector<TokenFeatures> FeatureExtractor::extract(
     const text::Sentence& sentence) const {
-  std::vector<TokenFeatures> out;
-  extract_into(sentence, out);
+  std::vector<TokenFeatures> out(sentence.size());
+  TemplateScratch scratch;
+  for_each_feature(sentence, scratch, [&](std::size_t position, std::string_view name) {
+    out[position].emplace_back(name);
+  });
   return out;
 }
 
-void FeatureExtractor::extract_into(const text::Sentence& sentence,
-                                    std::vector<TokenFeatures>& out) const {
-  // Shrink-then-fill keeps the inner vectors' string capacity alive across
-  // calls, which is what the serving workers reuse per batch.
-  if (out.size() > sentence.size()) out.resize(sentence.size());
-  out.reserve(sentence.size());
-  while (out.size() < sentence.size()) out.emplace_back();
-  for (std::size_t i = 0; i < sentence.size(); ++i)
-    extract_at_into(sentence, i, out[i]);
-
-  if (config_.gazetteer != nullptr) config_.gazetteer->annotate(sentence, out);
-
-  if (config_.pos_tagger != nullptr && sentence.size() > 0) {
-    const auto pos = config_.pos_tagger->tag(sentence.tokens);
-    for (std::size_t i = 0; i < sentence.size(); ++i) {
-      out[i].push_back("POS=" + pos[i]);
-      out[i].push_back("POS[-1]=" + (i > 0 ? pos[i - 1] : std::string("<s>")));
-      out[i].push_back("POS[+1]=" +
-                       (i + 1 < pos.size() ? pos[i + 1] : std::string("</s>")));
-    }
-  }
+TokenFeatures FeatureExtractor::extract_at(const text::Sentence& sentence,
+                                           std::size_t position) const {
+  assert(position < sentence.size());
+  // Lowercase only the tokens the templates can reach from `position`.
+  const std::size_t reach = std::max<std::size_t>(config_.context_window, 1);
+  TemplateScratch scratch;
+  scratch.lower(sentence, position > reach ? position - reach : 0,
+                std::min(sentence.size(), position + reach + 1));
+  TokenFeatures out;
+  for_each_feature_at(sentence, position, scratch,
+                      [&](std::size_t, std::string_view name) { out.emplace_back(name); },
+                      Templates::kAll);
+  return out;
 }
 
 }  // namespace graphner::features

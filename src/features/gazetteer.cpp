@@ -59,14 +59,10 @@ std::vector<std::string> Gazetteer::bank_names() const {
   return names;
 }
 
-void Gazetteer::annotate(const text::Sentence& sentence,
-                         std::vector<TokenFeatures>& features) const {
-  const std::size_t n = sentence.size();
-  if (n == 0 || features.size() < n) return;
-  std::vector<std::string> lowered;
-  lowered.reserve(n);
-  for (const auto& tok : sentence.tokens) lowered.push_back(util::to_lower(tok));
-
+void Gazetteer::for_each_feature(std::span<const std::string> lowered,
+                                 std::string& name, std::string& phrase,
+                                 FeatureSink sink) const {
+  const std::size_t n = lowered.size();
   for (const auto& bank : banks_) {
     for (std::size_t i = 0; i < n;) {
       if (bank.first_tokens.find(lowered[i]) == bank.first_tokens.end()) {
@@ -74,33 +70,45 @@ void Gazetteer::annotate(const text::Sentence& sentence,
         continue;
       }
       // Longest match first: grow the candidate phrase to the cap, then
-      // shrink until a terminology hit (or give up on this position).
-      std::size_t matched = 0;
+      // shrink a token at a time until a terminology hit (or give up on
+      // this position).
       const std::size_t limit = std::min(bank.max_tokens, n - i);
-      std::string phrase = lowered[i];
-      std::vector<std::size_t> lengths{phrase.size()};
+      phrase.assign(lowered[i]);
       for (std::size_t len = 2; len <= limit; ++len) {
         phrase += ' ';
         phrase += lowered[i + len - 1];
-        lengths.push_back(phrase.size());
       }
-      for (std::size_t len = limit; len >= 1; --len) {
-        phrase.resize(lengths[len - 1]);
-        if (bank.phrases.find(phrase) != bank.phrases.end()) {
-          matched = len;
-          break;
-        }
+      std::size_t matched = limit;
+      while (matched > 0 && bank.phrases.find(phrase) == bank.phrases.end()) {
+        if (--matched > 0) phrase.resize(phrase.size() - lowered[i + matched].size() - 1);
       }
       if (matched == 0) {
         ++i;
         continue;
       }
-      features[i].push_back("GAZB=" + bank.name);
-      for (std::size_t j = 1; j < matched; ++j)
-        features[i + j].push_back("GAZI=" + bank.name);
+      name.assign("GAZB=");
+      name += bank.name;
+      sink(i, name);
+      name.assign("GAZI=");
+      name += bank.name;
+      for (std::size_t j = 1; j < matched; ++j) sink(i + j, name);
       i += matched;
     }
   }
+}
+
+void Gazetteer::annotate(const text::Sentence& sentence,
+                         std::vector<TokenFeatures>& features) const {
+  const std::size_t n = sentence.size();
+  if (n == 0 || features.size() < n) return;
+  std::vector<std::string> lowered;
+  lowered.reserve(n);
+  for (const auto& tok : sentence.tokens) lowered.push_back(util::to_lower(tok));
+  std::string name;
+  std::string phrase;
+  for_each_feature(lowered, name, phrase, [&](std::size_t position, std::string_view feature) {
+    features[position].emplace_back(feature);
+  });
 }
 
 void Gazetteer::save(std::ostream& out) const {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,9 +47,15 @@ class Gazetteer {
   /// Bank names in canonical (sorted) order.
   [[nodiscard]] std::vector<std::string> bank_names() const;
 
+  /// Membership features of one sentence, given its lowercased tokens:
+  /// "GAZB=<bank>" on the first token of each longest match, "GAZI=<bank>"
+  /// on the rest, banks in insertion order. Each name is composed in `name`
+  /// (`phrase` stages candidate phrases) and passed to `sink`.
+  void for_each_feature(std::span<const std::string> lowered, std::string& name,
+                        std::string& phrase, FeatureSink sink) const;
+
   /// Append membership features to `features` (one TokenFeatures per
-  /// position, already sized to the sentence): "GAZB=<bank>" on the first
-  /// token of each longest match, "GAZI=<bank>" on the rest.
+  /// position, already sized to the sentence).
   void annotate(const text::Sentence& sentence,
                 std::vector<TokenFeatures>& features) const;
 

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "src/crf/trainer.hpp"
@@ -48,27 +49,31 @@ namespace {
 // ~1/marginal, and mixed beliefs could ride that bonus along a path the
 // CRF itself rules out. Within the clamp the node beliefs stay in charge,
 // which is the point of Algorithm 1 line 8.
-[[nodiscard]] std::vector<crf::TagTransitionMatrix> clamped_edge_ratios(
-    const crf::SentencePosteriors& posterior, std::size_t length) {
+void clamped_edge_ratios(std::span<const text::LabelDist> marginals,
+                         std::span<const text::LabelMatrix> pairwise,
+                         std::span<crf::TagTransitionMatrix> edge_ratios) {
   constexpr double kMaxRatio = 5.0;
-  const std::size_t L =
-      length > 0 ? posterior.tag_marginals[0].size() : std::size_t{kNumTags};
-  std::vector<crf::TagTransitionMatrix> edge_ratios(
-      length, crf::TagTransitionMatrix(L));
+  const std::size_t length = edge_ratios.size();
+  const std::size_t L = length > 0 ? marginals[0].size() : std::size_t{kNumTags};
+  for (auto& ratio : edge_ratios)
+    if (ratio.n() != L) ratio = crf::TagTransitionMatrix(L);
   edge_ratios[0].fill(1.0);
   for (std::size_t i = 1; i < length; ++i) {
     for (std::size_t a = 0; a < L; ++a) {
       for (std::size_t b = 0; b < L; ++b) {
-        const double denom =
-            posterior.tag_marginals[i - 1][a] * posterior.tag_marginals[i][b];
-        const double ratio =
-            denom > 1e-12 ? posterior.pairwise_marginals[i].at(a, b) / denom
-                          : 0.0;
+        const double denom = marginals[i - 1][a] * marginals[i][b];
+        const double ratio = denom > 1e-12 ? pairwise[i].at(a, b) / denom : 0.0;
         edge_ratios[i].at(a, b) = util::clamp(ratio, 1.0 / kMaxRatio, kMaxRatio);
       }
     }
   }
-  return edge_ratios;
+}
+
+/// The first `n` rows of a grow-only scratch buffer.
+template <typename Row>
+[[nodiscard]] std::span<Row> grow_rows(std::vector<Row>& rows, std::size_t n) {
+  if (rows.size() < n) rows.resize(n);
+  return {rows.data(), n};
 }
 
 }  // namespace
@@ -268,30 +273,38 @@ std::vector<text::Tag> GraphNerModel::decode_one_blended(
   if (length == 0) return {};
   const crf::EncodedSentence& encoded =
       features::encode_for_inference(sentence, *extractor_, *index_, encode);
-  const crf::SentencePosteriors posterior =
-      crf_->posteriors(encoded, scratch);
+  const auto marginals = grow_rows(scratch.marginals, length);
+  const auto pairwise = grow_rows(scratch.pairwise, length);
+  crf_->posteriors(encoded, scratch, marginals, pairwise);
 
   // Algorithm 1 line 8 with X_ref in place of the propagated distributions:
   // positions whose 3-gram was seen labelled get the corpus-level anchor,
-  // the rest keep the pure CRF posterior.
+  // the rest keep the pure CRF posterior. The trigram keys are joined from
+  // the tokens the encoder already lowercased.
   const std::size_t L = config_.labels.num_labels();
-  std::vector<text::LabelDist> beliefs(length, text::LabelDist(L));
+  const features::TemplateScratch& text = encode.text;
+  const auto beliefs = grow_rows(scratch.beliefs, length);
   for (std::size_t i = 0; i < length; ++i) {
-    const auto trigram = graph::trigram_at(sentence, i);
+    const auto p = static_cast<long long>(i);
+    ReferenceDistributions::join_key(text.lowered_at(p - 1), text.lowered_at(p),
+                                     text.lowered_at(p + 1), encode.trigram_key);
+    const std::string_view key = encode.trigram_key;
     // Hand-labelled reference first; the online-learned (propagated) table
     // only fills trigrams the labelled data never anchored.
-    const auto* ref = reference_->find(trigram);
-    if (!ref && learned_) ref = learned_->find(trigram);
+    const auto* ref = reference_->find(key);
+    if (!ref && learned_) ref = learned_->find(key);
     const bool usable = ref != nullptr && ref->size() == L;
+    beliefs[i].resize(L);
     for (std::size_t y = 0; y < L; ++y) {
-      beliefs[i][y] = usable ? config_.alpha * posterior.tag_marginals[i][y] +
+      beliefs[i][y] = usable ? config_.alpha * marginals[i][y] +
                                    (1.0 - config_.alpha) * (*ref)[y]
-                             : posterior.tag_marginals[i][y];
+                             : marginals[i][y];
     }
     util::normalize_inplace(beliefs[i]);
   }
-  return crf::belief_viterbi(beliefs, clamped_edge_ratios(posterior, length),
-                             config_.labels);
+  const auto edge_ratios = grow_rows(scratch.edge_ratios, length);
+  clamped_edge_ratios(marginals, pairwise, edge_ratios);
+  return crf::belief_viterbi(beliefs, edge_ratios, config_.labels, scratch.belief_rows);
 }
 
 crf::SentencePosteriors GraphNerModel::posteriors_one(
@@ -463,8 +476,9 @@ GraphNerModel::TestResult GraphNerModel::finish(
       }
       util::normalize_inplace(beliefs[i]);
     }
-    result.graphner_tags[t] = crf::belief_viterbi(
-        beliefs, clamped_edge_ratios(posterior, length), config_.labels);
+    std::vector<crf::TagTransitionMatrix> edge_ratios(length, crf::TagTransitionMatrix(L));
+    clamped_edge_ratios(posterior.tag_marginals, posterior.pairwise_marginals, edge_ratios);
+    result.graphner_tags[t] = crf::belief_viterbi(beliefs, edge_ratios, config_.labels);
   });
   result.timings.combine_decode_seconds = combine_span.close();
 

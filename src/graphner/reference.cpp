@@ -11,8 +11,19 @@
 
 namespace graphner::core {
 
+void ReferenceDistributions::join_key(std::string_view w0, std::string_view w1,
+                                      std::string_view w2, std::string& out) {
+  out.assign(w0);
+  out += '\x1f';
+  out += w1;
+  out += '\x1f';
+  out += w2;
+}
+
 std::string ReferenceDistributions::key_of(const std::array<std::string, 3>& trigram) {
-  return trigram[0] + '\x1f' + trigram[1] + '\x1f' + trigram[2];
+  std::string key;
+  join_key(trigram[0], trigram[1], trigram[2], key);
+  return key;
 }
 
 ReferenceDistributions ReferenceDistributions::build(
@@ -40,7 +51,12 @@ ReferenceDistributions ReferenceDistributions::build(
 
 const propagation::LabelDistribution* ReferenceDistributions::find(
     const std::array<std::string, 3>& trigram) const {
-  const auto it = table_.find(key_of(trigram));
+  return find(std::string_view(key_of(trigram)));
+}
+
+const propagation::LabelDistribution* ReferenceDistributions::find(
+    std::string_view key) const {
+  const auto it = table_.find(key);
   return it == table_.end() ? nullptr : &it->second;
 }
 
@@ -93,7 +109,9 @@ ReferenceDistributions ReferenceDistributions::load(std::istream& in) {
     double v = 0.0;
     while (count < text::kMaxLabels && (nums >> v)) dist[count++] = v;
     dist.resize(count);
-    result.table_[fields[0] + '\x1f' + fields[1] + '\x1f' + fields[2]] = dist;
+    std::string key;
+    join_key(fields[0], fields[1], fields[2], key);
+    result.table_[std::move(key)] = dist;
   }
   return result;
 }

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/propagation/propagation.hpp"
 #include "src/text/label_set.hpp"
 #include "src/text/sentence.hpp"
+#include "src/util/strings.hpp"
 
 namespace graphner::core {
 
@@ -30,6 +32,13 @@ class ReferenceDistributions {
   /// X_ref for a trigram key; nullptr when the trigram is not in V_l.
   [[nodiscard]] const propagation::LabelDistribution* find(
       const std::array<std::string, 3>& trigram) const;
+  /// The same lookup by an already joined key (join_key), without copying it.
+  [[nodiscard]] const propagation::LabelDistribution* find(std::string_view key) const;
+
+  /// The table's key of the trigram (w0, w1, w2), written into `out`: the
+  /// three lowercased tokens joined with '\x1f'.
+  static void join_key(std::string_view w0, std::string_view w1, std::string_view w2,
+                       std::string& out);
 
   [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
 
@@ -57,7 +66,9 @@ class ReferenceDistributions {
  private:
   static std::string key_of(const std::array<std::string, 3>& trigram);
 
-  std::unordered_map<std::string, propagation::LabelDistribution> table_;
+  std::unordered_map<std::string, propagation::LabelDistribution, util::StringHash,
+                     std::equal_to<>>
+      table_;
 };
 
 }  // namespace graphner::core

@@ -2,6 +2,7 @@
 
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace graphner::router {
 
@@ -93,19 +94,27 @@ std::shared_ptr<const text::LabelSet> InProcessReplica::labels() const {
   return labels_;
 }
 
+std::shared_ptr<serve::TaggingService> InProcessReplica::detach_locked(
+    std::shared_ptr<serve::TaggingService> replacement) {
+  auto old = std::exchange(service_, std::move(replacement));
+  if (old) draining_.push_back(old.get());
+  return old;
+}
+
 void InProcessReplica::retire(std::shared_ptr<serve::TaggingService> old) {
   if (!old) return;
   old->stop();  // graceful: drains queued work, every future resolves
   const obs::RegistrySnapshot terminal = old->metrics();
   std::lock_guard<std::mutex> lock(mutex_);
   merge_snapshot(retired_, terminal);
+  std::erase(draining_, old.get());
 }
 
 void InProcessReplica::kill() {
   std::shared_ptr<serve::TaggingService> old;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    old = std::move(service_);
+    old = detach_locked(nullptr);
     healthy_ = false;
   }
   retire(std::move(old));
@@ -138,7 +147,7 @@ void InProcessReplica::swap_model(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) return;  // the unused service stops in its destructor
-    old = std::exchange(service_, std::move(service));
+    old = detach_locked(std::move(service));
     model_ = std::move(model);
     labels_ = nullptr;  // re-materialized from the new model on demand
     healthy_ = true;
@@ -154,8 +163,14 @@ obs::RegistrySnapshot InProcessReplica::metrics_snapshot() const {
   std::shared_ptr<serve::TaggingService> service;
   obs::RegistrySnapshot out;
   {
+    // A draining service is counted here until retire() folds it into
+    // retired_ (under this lock), so every service is counted exactly once
+    // and the counters never dip mid-swap or mid-kill. Its pointer stays
+    // valid while it is listed.
     std::lock_guard<std::mutex> lock(mutex_);
     out = retired_;
+    for (const serve::TaggingService* draining : draining_)
+      merge_snapshot(out, draining->metrics());
     service = service_;
   }
   if (service) merge_snapshot(out, service->metrics());

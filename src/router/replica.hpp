@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/graphner/pipeline.hpp"
 #include "src/obs/registry.hpp"
@@ -84,8 +85,13 @@ class InProcessReplica {
   void stop();
 
  private:
-  /// Stop a detached service (call without the lock) and fold its
-  /// terminal counters into retired_.
+  /// Detach the live service (call with the lock held): it stays visible
+  /// to metrics_snapshot through draining_ until retire() folds it.
+  std::shared_ptr<serve::TaggingService> detach_locked(
+      std::shared_ptr<serve::TaggingService> replacement);
+  /// Stop a detached service (call without the lock) and, in one locked
+  /// step, fold its terminal counters into retired_ and drop it from
+  /// draining_.
   void retire(std::shared_ptr<serve::TaggingService> old);
 
   serve::ServiceConfig config_;
@@ -102,6 +108,11 @@ class InProcessReplica {
   bool stopped_ = false;
   /// Counters of every retired service, merged by name.
   obs::RegistrySnapshot retired_;
+  /// Services detached from service_ but not yet folded into retired_
+  /// (their drain is in progress). Raw pointers: the retiring caller owns
+  /// each one until retire() removes it, and a swap's wait for the old
+  /// service's use count to drop must not see these.
+  std::vector<serve::TaggingService*> draining_;
 };
 
 /// Merge `from` into `into`: counters add by (name, labels), gauges take

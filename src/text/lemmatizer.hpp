@@ -14,4 +14,8 @@ namespace graphner::text {
 /// Lemmatize one token (ASCII; non-alphabetic tokens pass through lowercased).
 [[nodiscard]] std::string lemmatize(std::string_view token);
 
+/// lemmatize() into caller storage: `out` is overwritten, and allocates
+/// nothing once its capacity covers the token.
+void lemmatize_into(std::string_view token, std::string& out);
+
 }  // namespace graphner::text

@@ -130,23 +130,40 @@ bool has_punct(std::string_view text) noexcept {
   return false;
 }
 
+namespace {
+
+[[nodiscard]] char shape_class(char c) noexcept {
+  if (is_upper(c)) return 'A';
+  if (is_lower(c)) return 'a';
+  if (is_digit(c)) return '0';
+  return '_';
+}
+
+}  // namespace
+
+void append_word_shape(std::string& out, std::string_view text) {
+  for (char c : text) out += shape_class(c);
+}
+
+void append_compressed_shape(std::string& out, std::string_view text) {
+  char last = '\0';
+  for (char c : text) {
+    const char cls = shape_class(c);
+    if (cls != last) out += cls;
+    last = cls;
+  }
+}
+
 std::string word_shape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    if (is_upper(c)) out += 'A';
-    else if (is_lower(c)) out += 'a';
-    else if (is_digit(c)) out += '0';
-    else out += '_';
-  }
+  append_word_shape(out, text);
   return out;
 }
 
 std::string compressed_shape(std::string_view text) {
-  const std::string shape = word_shape(text);
   std::string out;
-  for (char c : shape)
-    if (out.empty() || out.back() != c) out += c;
+  append_compressed_shape(out, text);
   return out;
 }
 

@@ -1,11 +1,19 @@
 // Small string helpers used across text processing and feature extraction.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace graphner::util {
+
+/// Hashes exactly as std::hash<std::string>, and is transparent: an
+/// unordered container declared with it and std::equal_to<> finds string
+/// keys by std::string_view without building a std::string.
+struct StringHash : std::hash<std::string_view> {
+  using is_transparent = void;
+};
 
 /// Split on a single delimiter; keeps empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char delim);
@@ -47,6 +55,10 @@ namespace graphner::util {
 
 /// Compressed shape with repeated classes collapsed ("Abc-12" -> "Aa_0").
 [[nodiscard]] std::string compressed_shape(std::string_view text);
+
+/// word_shape / compressed_shape appended to `out` (no temporary string).
+void append_word_shape(std::string& out, std::string_view text);
+void append_compressed_shape(std::string& out, std::string_view text);
 
 /// Replace every occurrence of `from` with `to`.
 [[nodiscard]] std::string replace_all(std::string text, std::string_view from,

@@ -376,6 +376,48 @@ TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
   replica.stop();
 }
 
+TEST_F(RouterTier, ReplicaCountersNeverDipWhileASwapDrains) {
+  // Five requests queue behind a 300 ms stall, so the old service is still
+  // draining while the swap waits on it. Its counters must stay visible
+  // the whole time: "submitted" read 5, then 0 mid-swap, then 5 again
+  // when the draining service was in neither the live slot nor the
+  // retired fold.
+  util::FaultInjector::instance().configure("worker.stall=1:300:1", 3);
+  serve::ServiceConfig config;
+  config.workers = 1;
+  config.batching.max_queue_depth = 1 << 16;
+  InProcessReplica replica(*model_, config);
+  std::vector<std::future<serve::TagResponse>> futures;
+  for (std::size_t i = 0; i < 5; ++i) {
+    ReplicaSubmission submission = replica.submit((*sentences_)[i % sentences_->size()], {});
+    ASSERT_TRUE(submission.accepted);
+    futures.push_back(std::move(submission.future));
+  }
+  const auto submitted = [&] { return replica.metrics_snapshot().counter_value("submitted"); };
+  std::vector<std::uint64_t> readings{submitted()};
+
+  std::atomic<bool> swapped{false};
+  std::thread swapper([&] {
+    replica.swap_model(*model_);
+    swapped.store(true);
+  });
+  while (!swapped.load()) {
+    readings.push_back(submitted());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  swapper.join();
+  readings.push_back(submitted());
+  util::FaultInjector::instance().disable();
+
+  EXPECT_EQ(readings.front(), 5U);
+  EXPECT_GT(readings.size(), 10U);  // polled while the drain was open
+  for (std::size_t i = 1; i < readings.size(); ++i)
+    ASSERT_GE(readings[i], readings[i - 1]) << "reading " << i << " of " << readings.size();
+  EXPECT_EQ(readings.back(), 5U);
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+  replica.stop();
+}
+
 TEST_F(RouterTier, AdminStatusListsReplicasAndRejectsNonsense) {
   Router router(*model_, small_config(2));
   const std::string status = router.admin("status");
