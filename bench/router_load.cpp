@@ -107,7 +107,7 @@ LevelResult run_level(std::shared_ptr<const core::GraphNerModel> model,
       for (std::size_t r = 0; r < requests_per_client; ++r) {
         const auto& sentence = sentences[stream.next()];
         util::Stopwatch watch;
-        if (tier.submit(sentence).get().ok())
+        if (tier.submit(sentence, {}).get().ok())
           latencies[c].push_back(watch.seconds() * 1e6);
       }
     });
@@ -154,7 +154,7 @@ LevelResult run_level(std::shared_ptr<const core::GraphNerModel> model,
     request.id = sentences[i].id;
     serve::TagResponse offline;
     offline.tags = offline_tags[i];
-    serve::TagResponse online = tier.submit(sentences[i]).get();
+    serve::TagResponse online = tier.submit(sentences[i], {}).get();
     online.coalesced = false;  // routing detail, not part of the tag payload
     if (serve::format_response(request, online) !=
         serve::format_response(request, offline)) {

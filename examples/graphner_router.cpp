@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
       for (const auto& sentence : sentences) {
         text::Sentence normalized = sentence;
         serve::normalize_tokens(normalized.tokens);
-        futures.push_back(router.submit(std::move(normalized)));
+        futures.push_back(router.submit(std::move(normalized), {}));
       }
       for (std::size_t i = 0; i < sentences.size(); ++i) {
         serve::Request request;

@@ -1,27 +1,23 @@
 // InProcessReplica: one health-checked serving replica behind the router.
 //
-// It wraps one TaggingService over a shared_ptr'd const model and gives
-// the router everything it programs against — submit, health,
-// kill/revive, atomic model hot-swap, metrics. Lifecycle transitions
-// replace the service under a mutex; the outgoing service is stopped
-// *outside* the lock (stop() drains every queued request, so no future is
-// ever abandoned) and its terminal counters are folded into a retained
-// accumulator — per-replica metrics survive any number of kill/revive
-// cycles, which is what lets CI assert exact conservation after a chaos
-// run. A swap starts the new service before retiring the old one, so the
-// replica never stops taking work mid-swap. Models are shared_ptr so N
-// replicas can point at one mmap-loaded instance (one page-cache copy of
-// the weights) and a swap frees the old model only when its last replica
-// lets go.
+// It owns one TaggingService from construction to stop() — one worker
+// pool, queue, set of warm scratches and metrics registry for its whole
+// life — and gives the router everything it programs against: submit,
+// health, kill/revive, model hot-swap, metrics. A hot-swap is the
+// service's generation exchange (TaggingService::swap_model): no thread
+// starts, nothing waits, and queued requests finish under the model they
+// were admitted with. kill() and revive() only flip admission; work
+// already queued keeps decoding on the live workers, so nothing is
+// dropped. Per-replica metrics are the one service registry, monotone by
+// construction. Models are shared_ptr so N replicas can point at one
+// mmap-loaded instance (one page-cache copy of the weights), and a swap
+// frees the old model once its last replica and request let go.
 #pragma once
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "src/graphner/pipeline.hpp"
 #include "src/obs/registry.hpp"
@@ -34,11 +30,9 @@ namespace graphner::router {
 /// The outcome of handing a request to a replica. When `accepted` is
 /// false the replica took nothing (killed or stopped) and the caller
 /// should try a sibling; otherwise `future` resolves like any service
-/// submit and `fingerprint` identifies the model generation that will
-/// answer it (the cache-key component).
+/// submit, its response naming the generation that decoded it.
 struct ReplicaSubmission {
   std::future<serve::TagResponse> future;
-  std::uint64_t fingerprint = 0;
   bool accepted = false;
 };
 
@@ -46,7 +40,6 @@ class InProcessReplica {
  public:
   InProcessReplica(std::shared_ptr<const core::GraphNerModel> model,
                    serve::ServiceConfig config);
-  ~InProcessReplica();
 
   InProcessReplica(const InProcessReplica&) = delete;
   InProcessReplica& operator=(const InProcessReplica&) = delete;
@@ -58,67 +51,43 @@ class InProcessReplica {
   [[nodiscard]] ReplicaSubmission submit(text::Sentence sentence,
                                          serve::SubmitOptions options);
 
-  [[nodiscard]] bool healthy() const;
-  /// Current model generation (stable while no swap is in flight).
-  [[nodiscard]] std::uint64_t fingerprint() const;
-  /// The serving model's label inventory, for responses the router
-  /// fabricates itself (cache hits never touch a service worker).
-  [[nodiscard]] std::shared_ptr<const text::LabelSet> labels() const;
+  [[nodiscard]] bool healthy() const noexcept {
+    return state_.load(std::memory_order_acquire) == State::kUp;
+  }
+  /// The generation new submissions decode under: its model fingerprint
+  /// is the cache-key component, its labels name the tags of responses
+  /// the router fabricates itself (cache hits never touch a worker).
+  [[nodiscard]] std::shared_ptr<const serve::ModelGeneration> generation() const {
+    return service_.generation();
+  }
+  [[nodiscard]] std::uint64_t fingerprint() const {
+    return generation()->model->fingerprint();
+  }
 
-  /// Stop serving: drain what is queued, then reject everything until
-  /// revive(). Safe to call concurrently with submits.
-  void kill();
-  /// Fresh worker pool over the current model.
-  void revive();
-  /// Atomic hot-swap to `model`: the new worker pool starts first, then
-  /// replaces the old one in one step, so the replica stays healthy and
-  /// accepting throughout; queued requests finish under the old model.
-  /// A killed replica comes back up on `model`.
-  void swap_model(std::shared_ptr<const core::GraphNerModel> model);
+  /// Refuse new work until revive(); queued requests still finish.
+  void kill() noexcept;
+  /// Admit work again (no-op once stopped).
+  void revive() noexcept;
+  /// Hot-swap to `model`: returns at once, admission unchanged, queued
+  /// requests finish under the model they were admitted with.
+  void swap_model(std::shared_ptr<const core::GraphNerModel> model) {
+    service_.swap_model(std::move(model));
+  }
 
-  /// This replica's counters/histograms (bare names: "submitted", ...),
-  /// including everything accumulated by services retired through
-  /// kill/revive/swap — monotone across lifecycle transitions.
-  [[nodiscard]] obs::RegistrySnapshot metrics_snapshot() const;
+  /// This replica's counters/histograms (bare names: "submitted", ...):
+  /// one registry for the replica's lifetime.
+  [[nodiscard]] obs::RegistrySnapshot metrics_snapshot() const {
+    return service_.metrics();
+  }
 
   /// Terminal stop (drain + join); the replica stays unhealthy forever.
   void stop();
 
  private:
-  /// Detach the live service (call with the lock held): it stays visible
-  /// to metrics_snapshot through draining_ until retire() folds it.
-  std::shared_ptr<serve::TaggingService> detach_locked(
-      std::shared_ptr<serve::TaggingService> replacement);
-  /// Stop a detached service (call without the lock) and, in one locked
-  /// step, fold its terminal counters into retired_ and drop it from
-  /// draining_.
-  void retire(std::shared_ptr<serve::TaggingService> old);
+  enum class State { kUp, kDown, kStopped };
 
-  serve::ServiceConfig config_;
-  mutable std::mutex mutex_;
-  std::shared_ptr<const core::GraphNerModel> model_;
-  /// shared_ptr, not unique: a concurrent submit may still hold the
-  /// service while a swap retires it; the drain in stop() resolves every
-  /// future before the last reference drops.
-  std::shared_ptr<serve::TaggingService> service_;
-  /// Lazily materialized copy of the model's label inventory, shared by
-  /// every cache-hit response; invalidated on swap_model.
-  mutable std::shared_ptr<const text::LabelSet> labels_;
-  bool healthy_ = false;
-  bool stopped_ = false;
-  /// Counters of every retired service, merged by name.
-  obs::RegistrySnapshot retired_;
-  /// Services detached from service_ but not yet folded into retired_
-  /// (their drain is in progress). Raw pointers: the retiring caller owns
-  /// each one until retire() removes it, and a swap's wait for the old
-  /// service's use count to drop must not see these.
-  std::vector<serve::TaggingService*> draining_;
+  serve::TaggingService service_;
+  std::atomic<State> state_{State::kUp};
 };
-
-/// Merge `from` into `into`: counters add by (name, labels), gauges take
-/// the newer value, histograms merge bucket-wise. The fold that keeps
-/// replica metrics monotone across service retirements.
-void merge_snapshot(obs::RegistrySnapshot& into,
-                    const obs::RegistrySnapshot& from);
 
 }  // namespace graphner::router

@@ -140,12 +140,17 @@ std::future<serve::TagResponse> Router::submit(text::Sentence sentence,
     for (const std::size_t idx : order) {
       if (!routable_in(*tenant, idx, ignore_breakers)) continue;
       counted = true;
-      if (auto hit = cache_.get(cache_key(base_key, pool[idx]->fingerprint()))) {
+      // One generation read: the fingerprint probed and the labels that
+      // name a hit's tags belong to the same model.
+      const auto generation = pool[idx]->generation();
+      const std::uint64_t fingerprint = generation->model->fingerprint();
+      if (auto hit = cache_.get(cache_key(base_key, fingerprint))) {
         tenant->metrics.cache_hits.inc();
         serve::TagResponse response;
         response.tags = std::move(*hit);
         response.coalesced = true;  // served by a previous request's decode
-        response.labels = pool[idx]->labels();
+        response.labels = generation->labels;
+        response.fingerprint = fingerprint;
         return ready_response(std::move(response));
       }
       break;
@@ -195,12 +200,12 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
                                    std::shared_ptr<Tenant> tenant) {
   auto& pool = pool_of(*tenant);
   serve::TagResponse response = primary.future.get();
-  std::uint64_t fingerprint = primary.fingerprint;
 
   if (needs_failover(response.status)) {
-    // The owner died under the request (kill mid-flood answers queued work
-    // but rejects the rest with SHUTDOWN). Walk the ring-order siblings;
-    // back off between rounds in case every sibling is mid-revive.
+    // The owner stopped under the request (a replica stopping mid-flood
+    // drains its queue but answers later submits with SHUTDOWN; a killed
+    // one still finishes what it admitted). Walk the ring-order siblings;
+    // back off between rounds in case every sibling is down.
     util::Backoff retry(config_.failover_backoff);
     std::size_t last_failed = used;
     for (;;) {
@@ -216,7 +221,6 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
         failovers_.inc();
         attempted = true;
         response = retry_sub.future.get();
-        fingerprint = retry_sub.fingerprint;
         last_failed = idx;
         break;
       }
@@ -235,8 +239,11 @@ serve::TagResponse Router::resolve(ReplicaSubmission primary, std::size_t used,
 
   if (response.status == serve::Status::kDeadlineExceeded)
     tenant->metrics.deadline_drops.inc();
+  // Keyed on the generation that actually decoded the answer, which a
+  // swap racing the submit may have made differ from the probed one.
   if (config_.cache_enabled && response.ok() && !response.degraded)
-    cache_.put(cache_key(base_key, fingerprint), response.tags, fingerprint);
+    cache_.put(cache_key(base_key, response.fingerprint), response.tags,
+               response.fingerprint);
   return response;
 }
 

@@ -153,7 +153,6 @@ class Router : public serve::TagService {
 
   [[nodiscard]] std::future<serve::TagResponse> submit(
       text::Sentence sentence, serve::SubmitOptions options) override;
-  using serve::TagService::submit;  ///< positional (deadline) sugar
 
   [[nodiscard]] obs::RegistrySnapshot observability_snapshot() const override;
 
@@ -222,12 +221,11 @@ class Router : public serve::TagService {
   }
 
   [[nodiscard]] static bool needs_failover(serve::Status status) noexcept {
-    // A killed/draining replica answers SHUTDOWN; UNAVAILABLE means a
-    // mid-swap reject. Both are replica-local conditions a sibling can
-    // absorb. OVERLOADED/DEADLINE_EXCEEDED are load signals that must
-    // reach the client's own backoff instead of multiplying load here.
-    return status == serve::Status::kShutdown ||
-           status == serve::Status::kUnavailable;
+    // A stopped replica answers SHUTDOWN: a replica-local condition a
+    // sibling can absorb. OVERLOADED/DEADLINE_EXCEEDED are load signals
+    // that must reach the client's own backoff instead of multiplying
+    // load here.
+    return status == serve::Status::kShutdown;
   }
 
   RouterConfig config_;

@@ -15,7 +15,6 @@ ServiceMetrics::ServiceMetrics()
     : submitted_(registry_.counter("submitted")),
       rejected_overload_(registry_.counter("rejected_overload")),
       rejected_shutdown_(registry_.counter("rejected_shutdown")),
-      rejected_unknown_model_(registry_.counter("rejected_unknown_model")),
       completed_(registry_.counter("completed")),
       errors_(registry_.counter("errors")),
       batches_(registry_.counter("batches")),
@@ -32,8 +31,6 @@ void ServiceMetrics::on_rejected(Status status) noexcept {
     rejected_overload_.inc();
   else if (status == Status::kShutdown)
     rejected_shutdown_.inc();
-  else if (status == Status::kUnknownModel)
-    rejected_unknown_model_.inc();
 }
 
 void ServiceMetrics::on_batch(std::size_t batch_size) noexcept {

@@ -51,7 +51,6 @@ class ServiceMetrics {
   obs::Counter& submitted_;
   obs::Counter& rejected_overload_;
   obs::Counter& rejected_shutdown_;
-  obs::Counter& rejected_unknown_model_;
   obs::Counter& completed_;
   obs::Counter& errors_;
   obs::Counter& batches_;

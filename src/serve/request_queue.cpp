@@ -14,6 +14,7 @@ BatchQueue::PushResult BatchQueue::push(PendingRequest&& request) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutdown_) return PushResult::kShutdown;
     if (queue_.size() >= policy_.max_queue_depth) return PushResult::kOverloaded;
+    request.generation = generation_;
     queue_.push_back(std::move(request));
   }
   not_empty_.notify_one();
@@ -43,6 +44,17 @@ bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
   // If more than max_batch piled up, another worker can start immediately.
   if (!queue_.empty()) not_empty_.notify_one();
   return true;
+}
+
+void BatchQueue::set_generation(
+    std::shared_ptr<const ModelGeneration> generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  generation_.swap(generation);  // the old one is released after the unlock
+}
+
+std::shared_ptr<const ModelGeneration> BatchQueue::generation() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return generation_;
 }
 
 void BatchQueue::shutdown() {

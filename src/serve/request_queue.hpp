@@ -10,6 +10,12 @@
 // blocking the producer — explicit backpressure rather than unbounded
 // memory growth. shutdown() stops admission but keeps handing out batches
 // until the queue is drained, which is what graceful stop needs.
+//
+// The queue also holds the service's current model generation. push()
+// stamps it on the request under the same lock that enqueues it, so a
+// request decodes under exactly the generation that was current when it
+// was admitted, and set_generation() is one pointer exchange that never
+// waits for queued work.
 #pragma once
 
 #include <chrono>
@@ -17,13 +23,28 @@
 #include <cstddef>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "src/serve/types.hpp"
+#include "src/text/label_set.hpp"
 #include "src/text/sentence.hpp"
 
+namespace graphner::core {
+class GraphNerModel;
+}  // namespace graphner::core
+
 namespace graphner::serve {
+
+/// One model generation: the immutable model a request decodes under and
+/// its label inventory (a copy, shared by every OK response, so responses
+/// may outlive the model). Requests hold it by shared_ptr, so a swapped-out
+/// model is freed when the last request admitted under it resolves.
+struct ModelGeneration {
+  std::shared_ptr<const core::GraphNerModel> model;
+  std::shared_ptr<const text::LabelSet> labels;
+};
 
 struct BatchPolicy {
   std::size_t max_batch = 32;        ///< batch closes at this many requests
@@ -52,6 +73,8 @@ struct PendingRequest {
   /// Canonical sentence key, threaded from SubmitOptions (or derived once
   /// at admission) so the coalescing worker never re-joins the tokens.
   std::string key;
+  /// The generation current at admission, stamped by BatchQueue::push.
+  std::shared_ptr<const ModelGeneration> generation;
 
   [[nodiscard]] bool expired(std::chrono::steady_clock::time_point now) const noexcept {
     return now > deadline;
@@ -60,14 +83,21 @@ struct PendingRequest {
 
 class BatchQueue {
  public:
-  explicit BatchQueue(BatchPolicy policy) : policy_(policy) {}
+  BatchQueue(BatchPolicy policy,
+             std::shared_ptr<const ModelGeneration> generation)
+      : policy_(policy), generation_(std::move(generation)) {}
 
   enum class PushResult { kAccepted, kOverloaded, kShutdown };
 
-  /// Non-blocking admission. `request` is consumed only on kAccepted; on
-  /// rejection it is left intact so the caller can fulfill its promise
-  /// with the structured rejection.
+  /// Non-blocking admission. `request` is consumed only on kAccepted, and
+  /// then carries the current generation; on rejection it is left intact
+  /// so the caller can fulfill its promise with the structured rejection.
   PushResult push(PendingRequest&& request);
+
+  /// Make `generation` current for every later push. Requests already
+  /// queued keep the generation they carry.
+  void set_generation(std::shared_ptr<const ModelGeneration> generation);
+  [[nodiscard]] std::shared_ptr<const ModelGeneration> generation() const;
 
   /// Block until a micro-batch is ready (see file comment for the closing
   /// rule), move it into `out` (cleared first), and return true. Returns
@@ -85,6 +115,7 @@ class BatchQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::deque<PendingRequest> queue_;
+  std::shared_ptr<const ModelGeneration> generation_;
   bool shutdown_ = false;
 };
 

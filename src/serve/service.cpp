@@ -24,15 +24,19 @@ namespace {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+[[nodiscard]] std::shared_ptr<const ModelGeneration> make_generation(
+    std::shared_ptr<const core::GraphNerModel> model) {
+  auto labels = std::make_shared<const text::LabelSet>(model->labels());
+  return std::make_shared<const ModelGeneration>(
+      ModelGeneration{std::move(model), std::move(labels)});
+}
+
 }  // namespace
 
-TaggingService::TaggingService(const core::GraphNerModel& model,
+TaggingService::TaggingService(std::shared_ptr<const core::GraphNerModel> model,
                                ServiceConfig config)
-    : model_(model),
-      config_(config),
-      labels_(std::make_shared<const text::LabelSet>(model.labels())),
-      queue_(config.batching) {
-  if (config_.model_name.empty()) config_.model_name = "default";
+    : config_(config),
+      queue_(config.batching, make_generation(std::move(model))) {
   // A degrade policy with low > high would flap; clamp to a sane hysteresis.
   if (config_.degrade.low_watermark > config_.degrade.high_watermark)
     config_.degrade.low_watermark = config_.degrade.high_watermark;
@@ -52,19 +56,6 @@ TaggingService::~TaggingService() { stop(); }
 
 std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
                                                 SubmitOptions options) {
-  if (!options.model.empty() && options.model != config_.model_name) {
-    // A single-model service has exactly one tenant; anything else is a
-    // selector error, answered structurally and without touching the queue.
-    std::promise<TagResponse> promise;
-    TagResponse response;
-    response.status = Status::kUnknownModel;
-    response.error = "unknown model \"" + options.model +
-                     "\" (this server serves \"" + config_.model_name + "\")";
-    metrics_.on_rejected(response.status);
-    promise.set_value(std::move(response));
-    return promise.get_future();
-  }
-
   PendingRequest request;
   // The canonical sentence key: threaded from protocol ingestion when the
   // request came over the wire, derived exactly once here otherwise.
@@ -106,7 +97,12 @@ std::future<TagResponse> TaggingService::submit(text::Sentence sentence,
 }
 
 TagResponse TaggingService::tag(text::Sentence sentence) {
-  return submit(std::move(sentence)).get();
+  return submit(std::move(sentence), {}).get();
+}
+
+void TaggingService::swap_model(
+    std::shared_ptr<const core::GraphNerModel> model) {
+  queue_.set_generation(make_generation(std::move(model)));
 }
 
 void TaggingService::stop() {
@@ -149,10 +145,13 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
   features::EncodeScratch encode;        // warm feature/id buffers
   std::vector<PendingRequest> batch;
   // Within-batch coalescing state: token-sequence key -> (tags, decode_us)
-  // of the first occurrence. Decode is deterministic over an immutable
-  // model, so duplicates get byte-identical tags without re-decoding.
+  // of the first occurrence under `decoded_under`. Decode is deterministic
+  // over an immutable model, so duplicates get byte-identical tags without
+  // re-decoding — but only within one generation: a batch can straddle a
+  // swap, and the map is emptied whenever the generation changes.
   std::unordered_map<std::string, std::pair<std::vector<text::Tag>, double>>
       decoded;
+  const ModelGeneration* decoded_under = nullptr;
   const bool coalesce = queue_.policy().coalesce_duplicates;
 
   while (queue_.pop_batch(batch)) {
@@ -170,7 +169,9 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
     const bool degraded = update_degraded_mode();
     const bool blend = config_.blend_decode && !degraded;
     decoded.clear();
+    decoded_under = nullptr;
     for (auto& request : batch) {
+      const ModelGeneration& generation = *request.generation;
       TagResponse response;
       response.queue_us = us_between(request.enqueued_at, dequeued_at);
       response.batch_size = batch.size();
@@ -191,6 +192,10 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
       }
 
       const bool try_coalesce = coalesce && batch.size() > 1;
+      if (try_coalesce && decoded_under != &generation) {
+        decoded.clear();
+        decoded_under = &generation;
+      }
       if (try_coalesce) {
         // The canonical '\x1f'-joined key, computed once at ingestion and
         // carried on the request (PendingRequest::key) — the same key the
@@ -199,7 +204,8 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
           response.tags = hit->second.first;       // shared decode's tags
           response.decode_us = hit->second.second; // ...and its cost
           response.coalesced = true;
-          response.labels = labels_;
+          response.labels = generation.labels;
+          response.fingerprint = generation.model->fingerprint();
           metrics_.on_completed(response.queue_us, response.decode_us,
                                 /*error=*/false, /*coalesced=*/true,
                                 response.degraded);
@@ -210,16 +216,18 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
 
       const auto decode_start = std::chrono::steady_clock::now();
       try {
-        response.tags = blend
-                            ? model_.decode_one_blended(request.sentence,
-                                                        scratch, encode)
-                            : model_.decode_one(request.sentence, scratch,
-                                                encode);
+        const core::GraphNerModel& model = *generation.model;
+        response.tags =
+            blend ? model.decode_one_blended(request.sentence, scratch, encode)
+                  : model.decode_one(request.sentence, scratch, encode);
       } catch (const std::exception& e) {
         response.status = Status::kError;
         response.error = e.what();
       }
-      if (response.status == Status::kOk) response.labels = labels_;
+      if (response.status == Status::kOk) {
+        response.labels = generation.labels;
+        response.fingerprint = generation.model->fingerprint();
+      }
       response.decode_us =
           us_between(decode_start, std::chrono::steady_clock::now());
       if (try_coalesce && response.status == Status::kOk)
@@ -230,6 +238,9 @@ void TaggingService::worker_loop([[maybe_unused]] std::size_t worker_id) {
                             /*coalesced=*/false, response.degraded);
       request.promise.set_value(std::move(response));
     }
+    // Drop the batch's generation references now, not at the next pop: an
+    // idle worker must not keep a swapped-out model alive.
+    batch.clear();
   }
 }
 

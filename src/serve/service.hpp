@@ -1,12 +1,22 @@
-// TaggingService: an always-on concurrent tagger over one shared model.
+// TaggingService: an always-on concurrent tagger over one model generation.
 //
 // A fixed pool of decode workers drains the BatchQueue; each worker owns a
 // warm CRF lattice Scratch and a reusable feature-encode buffer, so the
 // steady state decodes with zero per-sentence lattice allocation (the PR-1
 // kernels' contract, now held across requests instead of across a corpus
-// pass). The model is borrowed const — GraphNerModel::decode_one is
+// pass). The model is shared const — GraphNerModel::decode_one is
 // thread-safe over immutable state, so any number of workers share one
 // model with no copies and no locks on the decode path.
+//
+// Generations: the service serves one ModelGeneration (model + label
+// inventory) at a time. submit() stamps the current one on the request
+// as it enqueues it, and the worker decodes under the generation the
+// request carries and reports its fingerprint on the response.
+// swap_model() exchanges the pointer and returns at once: it starts no
+// thread and waits for nothing. Queued requests finish under the
+// generation they were admitted with; the old model is freed when the
+// last of them resolves. Workers, queue, scratches and metrics live for
+// the whole service, so its counters are monotone by construction.
 //
 // Lifecycle: the constructor starts the workers; stop() (or the
 // destructor) closes admission, drains every queued request, and joins.
@@ -18,7 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <future>
-#include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -53,32 +63,33 @@ struct ServiceConfig {
   /// off, degradation has nothing cheaper to switch to and is inert.
   bool blend_decode = false;
   DegradePolicy degrade;
-  /// The name this service's model answers to. A submission whose
-  /// SubmitOptions::model is non-empty and different is rejected with
-  /// Status::kUnknownModel — a single-model server has nothing else to
-  /// offer. Behind a Router the selector is resolved before the replica,
-  /// so replicas never see a mismatch.
-  std::string model_name = "default";
 };
 
 class TaggingService : public TagService {
  public:
-  /// `model` is borrowed and must outlive the service.
-  explicit TaggingService(const core::GraphNerModel& model,
+  explicit TaggingService(std::shared_ptr<const core::GraphNerModel> model,
                           ServiceConfig config = {});
   ~TaggingService() override;
 
   TaggingService(const TaggingService&) = delete;
   TaggingService& operator=(const TaggingService&) = delete;
 
-  /// Enqueue one sentence. Always returns a future that will be fulfilled:
-  /// with tags on success, or with a terminal non-OK status (kOverloaded /
-  /// kShutdown / kUnknownModel immediately, kDeadlineExceeded if the
-  /// deadline passes while queued). `options.deadline` <= 0 uses the
-  /// config default.
+  /// Enqueue one sentence under the current generation. Always returns a
+  /// future that will be fulfilled: with tags on success, or with a
+  /// terminal non-OK status (kOverloaded / kShutdown immediately,
+  /// kDeadlineExceeded if the deadline passes while queued).
+  /// `options.deadline` <= 0 uses the config default; `options.model` is
+  /// not consulted (tenant selection belongs to the router).
   [[nodiscard]] std::future<TagResponse> submit(text::Sentence sentence,
                                                 SubmitOptions options) override;
-  using TagService::submit;  ///< the positional (deadline) sugar
+
+  /// Serve `model` for every later submit. One pointer exchange: no thread
+  /// starts and nothing waits; queued requests keep their generation.
+  void swap_model(std::shared_ptr<const core::GraphNerModel> model);
+  /// The generation later submits decode under.
+  [[nodiscard]] std::shared_ptr<const ModelGeneration> generation() const {
+    return queue_.generation();
+  }
 
   /// Synchronous convenience: submit + wait.
   [[nodiscard]] TagResponse tag(text::Sentence sentence);
@@ -109,14 +120,7 @@ class TaggingService : public TagService {
   /// depth; returns the mode the caller's batch should decode under.
   bool update_degraded_mode();
 
-  const core::GraphNerModel& model_;
   ServiceConfig config_;
-  /// The model's label inventory, attached to every OK response so the
-  /// wire layer can name multi-entity tags. A copy under shared_ptr (one
-  /// refcount bump per response) rather than a pointer into the model:
-  /// responses legally outlive the service *and* the model (a replica
-  /// hot-swap drops both while formatted replies are still in flight).
-  std::shared_ptr<const text::LabelSet> labels_;
   BatchQueue queue_;
   ServiceMetrics metrics_;
   std::vector<std::thread> workers_;

@@ -48,15 +48,6 @@ class TagService {
   [[nodiscard]] virtual std::future<TagResponse> submit(
       text::Sentence sentence, SubmitOptions options) = 0;
 
-  /// Positional sugar over the options struct (the pre-tenancy call shape;
-  /// derived classes re-expose it with `using TagService::submit`).
-  [[nodiscard]] std::future<TagResponse> submit(
-      text::Sentence sentence, std::chrono::milliseconds deadline = {}) {
-    SubmitOptions options;
-    options.deadline = deadline;
-    return submit(std::move(sentence), std::move(options));
-  }
-
   /// The full scrape every "#METRICS [JSON|TSV|PROM]" flavour serializes.
   [[nodiscard]] virtual obs::RegistrySnapshot observability_snapshot() const = 0;
 

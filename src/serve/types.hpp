@@ -78,6 +78,9 @@ struct TagResponse {
   /// falls back to the legacy single-type names ("B"/"I"/"O"), which is
   /// what single() also spells, so the carrier never changes legacy bytes.
   std::shared_ptr<const text::LabelSet> labels;
+  /// Fingerprint of the model generation that decoded `tags` (0 when no
+  /// decode ran) — what the router's cache keys the answer under.
+  std::uint64_t fingerprint = 0;
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::kOk; }
 };

@@ -1,11 +1,12 @@
 // Frozen copy of the pre-windowing BrownClustering::train (see header).
 // Any edit here invalidates the golden-equivalence contract — don't.
-#include "src/embeddings/brown_reference.hpp"
+#include "tests/support/brown_reference.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -291,16 +292,18 @@ BrownClustering train_brown_reference(const std::vector<text::Sentence>& sentenc
     }
   }
 
-  // Final cluster ids and word assignments.
+  // Final cluster ids and word assignments, written in
+  // BrownClustering::save's text format and read back through load().
   std::unordered_map<std::size_t, int> slot_cluster;
-  for (const std::size_t slot : active) {
-    slot_cluster[slot] = static_cast<int>(result.paths_.size());
-    result.paths_.push_back(slot_path[slot]);
+  std::stringstream text;
+  text << active.size() << ' ' << word_slot.size() << '\n';
+  for (std::size_t id = 0; id < active.size(); ++id) {
+    slot_cluster[active[id]] = static_cast<int>(id);
+    text << slot_path[active[id]] << '\n';
   }
   for (const auto& [word, slot] : word_slot)
-    result.word_cluster_[word] = slot_cluster[find(slot)];
-
-  return result;
+    text << word << ' ' << slot_cluster[find(slot)] << '\n';
+  return BrownClustering::load(text);
 }
 
 }  // namespace graphner::embeddings

@@ -1,7 +1,9 @@
 // Frozen pre-windowing Brown clustering trainer (golden reference).
 //
 // This is the original dense-matrix implementation of
-// BrownClustering::train, kept verbatim for two purposes:
+// BrownClustering::train, kept verbatim (it only hands its clusters back
+// through BrownClustering's save/load text format instead of filling the
+// class's members) for two purposes:
 //
 //   * golden-equivalence tests: the windowed trainer in brown.cpp must
 //     reproduce this implementation's merge sequence bit for bit

@@ -151,7 +151,7 @@ TEST_F(LearnTier, RouterLearnSwapsEveryReplicaAndInvalidatesTheCache) {
   EXPECT_EQ(router.replica(0).fingerprint(), base_fingerprint);
 
   // Prime the cache under the base generation.
-  ASSERT_TRUE(router.submit(sentences_->front()).get().ok());
+  ASSERT_TRUE(router.submit(sentences_->front(), {}).get().ok());
   EXPECT_EQ(router.cache().size(), 1U);
 
   const std::string status = router.admin("learn status");
@@ -170,7 +170,7 @@ TEST_F(LearnTier, RouterLearnSwapsEveryReplicaAndInvalidatesTheCache) {
   EXPECT_EQ(router.cache().size(), 0U);
 
   // Serving still works against the swapped-in fork.
-  ASSERT_TRUE(router.submit(sentences_->front()).get().ok());
+  ASSERT_TRUE(router.submit(sentences_->front(), {}).get().ok());
 
   EXPECT_EQ(router.admin("learn bogus").rfind("ERROR unknown learn mode", 0),
             0U);
@@ -354,7 +354,7 @@ TEST_F(LearnTier, RouterRestartReplaysWalToByteIdenticalTagging) {
     learned_fingerprint = router.replica(0).fingerprint();
     EXPECT_NE(learned_fingerprint, (*model_)->fingerprint());
     for (std::size_t i = 1; i < 5; ++i) {
-      auto response = router.submit((*sentences_)[i]).get();
+      auto response = router.submit((*sentences_)[i], {}).get();
       ASSERT_TRUE(response.ok());
       before.push_back(std::move(response.tags));
     }
@@ -370,7 +370,7 @@ TEST_F(LearnTier, RouterRestartReplaysWalToByteIdenticalTagging) {
   ASSERT_NE(restarted.learn_log(), nullptr);
   EXPECT_EQ(restarted.learn_log()->recovery().replayed_batches, 1U);
   for (std::size_t i = 1; i < 5; ++i) {
-    auto response = restarted.submit((*sentences_)[i]).get();
+    auto response = restarted.submit((*sentences_)[i], {}).get();
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response.tags, before[i - 1]) << "sentence " << i;
   }

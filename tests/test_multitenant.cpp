@@ -186,29 +186,11 @@ std::vector<text::Sentence>* TenantTier::sentences_ = nullptr;
 std::vector<std::vector<text::Tag>>* TenantTier::expected_ = nullptr;
 std::vector<std::vector<text::Tag>>* TenantTier::alt_expected_ = nullptr;
 
-TEST_F(TenantTier, SingleServiceAcceptsItsOwnNameAndRejectsOthers) {
-  serve::ServiceConfig config;
-  config.workers = 1;
-  serve::TaggingService service(**model_, config);
-
-  auto ok = service.submit(sentences_->front(), for_model("default")).get();
-  EXPECT_TRUE(ok.ok()) << ok.error;
-
-  auto bare = service.submit(sentences_->front()).get();
-  EXPECT_TRUE(bare.ok());
-
-  auto unknown = service.submit(sentences_->front(), for_model("nope")).get();
-  EXPECT_EQ(unknown.status, serve::Status::kUnknownModel);
-  EXPECT_NE(unknown.error.find("nope"), std::string::npos);
-  EXPECT_EQ(service.metrics().counter_value("rejected_unknown_model"), 1U);
-  service.stop();
-}
-
 TEST_F(TenantTier, ResponsesCarryTheServingModelsLabelInventory) {
   serve::ServiceConfig config;
   config.workers = 1;
-  serve::TaggingService service(**alt_model_, config);
-  auto response = service.submit(sentences_->front()).get();
+  serve::TaggingService service(*alt_model_, config);
+  auto response = service.submit(sentences_->front(), {}).get();
   ASSERT_TRUE(response.ok()) << response.error;
   ASSERT_TRUE(response.labels);
   EXPECT_EQ(response.labels->num_labels(), 11U);

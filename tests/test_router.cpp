@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -182,6 +183,29 @@ class RouterTier : public ::testing::Test {
     return config;
   }
 
+  /// A second generation, trained on a different corpus seed, so its
+  /// tags differ from model_'s on some test sentences. Trained on first
+  /// use only.
+  static const std::shared_ptr<const core::GraphNerModel>& other_model() {
+    static const auto other = std::make_shared<const core::GraphNerModel>(
+        core::GraphNerModel::train(
+            corpus::generate_corpus(corpus::bc2gm_like_spec(0.05, 11)).train,
+            {}, core::GraphNerConfig{}));
+    return other;
+  }
+  static const std::vector<std::vector<text::Tag>>& other_expected() {
+    static const auto expected = other_model()->decode_crf(*sentences_);
+    return expected;
+  }
+  /// Indices of the test sentences whose tags differ between the two
+  /// generations.
+  static std::vector<std::size_t> differing_sentences() {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < sentences_->size(); ++i)
+      if ((*expected_)[i] != other_expected()[i]) out.push_back(i);
+    return out;
+  }
+
   static std::shared_ptr<const core::GraphNerModel>* model_;
   static std::vector<text::Sentence>* sentences_;
   static std::vector<std::vector<text::Tag>>* expected_;
@@ -196,7 +220,7 @@ TEST_F(RouterTier, RoutedDecodeMatchesOfflineDecodeAcrossReplicas) {
   std::vector<std::future<serve::TagResponse>> futures;
   futures.reserve(sentences_->size());
   for (const auto& sentence : *sentences_)
-    futures.push_back(router.submit(sentence));
+    futures.push_back(router.submit(sentence, {}));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     auto response = futures[i].get();
     ASSERT_TRUE(response.ok()) << response.error;
@@ -209,13 +233,13 @@ TEST_F(RouterTier, CacheHitAnswersRepeatWithoutTouchingReplicas) {
   Router router(*model_, small_config(2));
   const auto& sentence = sentences_->front();
 
-  auto first = router.submit(sentence).get();
+  auto first = router.submit(sentence, {}).get();
   ASSERT_TRUE(first.ok());
   const auto submitted_before =
       router.observability_snapshot().counter_value("replica.0.submitted") +
       router.observability_snapshot().counter_value("replica.1.submitted");
 
-  auto second = router.submit(sentence).get();
+  auto second = router.submit(sentence, {}).get();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.coalesced);  // served from the cross-request cache
   EXPECT_EQ(second.tags, first.tags);
@@ -231,8 +255,8 @@ TEST_F(RouterTier, CacheHitAnswersRepeatWithoutTouchingReplicas) {
 TEST_F(RouterTier, CacheDisabledCountsEveryRequestAsMiss) {
   Router router(*model_, small_config(1, /*cache=*/false));
   const auto& sentence = sentences_->front();
-  ASSERT_TRUE(router.submit(sentence).get().ok());
-  ASSERT_TRUE(router.submit(sentence).get().ok());
+  ASSERT_TRUE(router.submit(sentence, {}).get().ok());
+  ASSERT_TRUE(router.submit(sentence, {}).get().ok());
   const auto snapshot = router.observability_snapshot();
   EXPECT_EQ(snapshot.counter_value("cache.hits"), 0U);
   EXPECT_EQ(snapshot.counter_value("cache.misses"), 2U);
@@ -246,7 +270,7 @@ TEST_F(RouterTier, KilledReplicaIsRoutedAroundAndRevives) {
   EXPECT_FALSE(router.replica(0).healthy());
 
   for (std::size_t i = 0; i < 8; ++i) {
-    auto response = router.submit((*sentences_)[i % sentences_->size()]).get();
+    auto response = router.submit((*sentences_)[i % sentences_->size()], {}).get();
     ASSERT_TRUE(response.ok()) << response.error;
     EXPECT_EQ(response.tags, (*expected_)[i % sentences_->size()]);
   }
@@ -256,7 +280,7 @@ TEST_F(RouterTier, KilledReplicaIsRoutedAroundAndRevives) {
 
   router.replica(0).revive();
   EXPECT_TRUE(router.replica(0).healthy());
-  ASSERT_TRUE(router.submit(sentences_->front()).get().ok());
+  ASSERT_TRUE(router.submit(sentences_->front(), {}).get().ok());
   router.stop();
 }
 
@@ -264,7 +288,7 @@ TEST_F(RouterTier, AllReplicasDownAnswersUnavailableNotShutdown) {
   Router router(*model_, small_config(2));
   router.replica(0).kill();
   router.replica(1).kill();
-  auto response = router.submit(sentences_->front()).get();
+  auto response = router.submit(sentences_->front(), {}).get();
   EXPECT_EQ(response.status, serve::Status::kUnavailable);
   EXPECT_TRUE(serve::status_retryable(response.status));
   const auto snapshot = router.observability_snapshot();
@@ -274,8 +298,8 @@ TEST_F(RouterTier, AllReplicasDownAnswersUnavailableNotShutdown) {
 
 TEST_F(RouterTier, ReplicaMetricsAreMonotoneAcrossKillRevive) {
   Router router(*model_, small_config(1));
-  ASSERT_TRUE(router.submit((*sentences_)[0]).get().ok());
-  ASSERT_TRUE(router.submit((*sentences_)[1]).get().ok());
+  ASSERT_TRUE(router.submit((*sentences_)[0], {}).get().ok());
+  ASSERT_TRUE(router.submit((*sentences_)[1], {}).get().ok());
   const auto before =
       router.observability_snapshot().counter_value("replica.0.submitted");
   EXPECT_EQ(before, 2U);
@@ -286,7 +310,7 @@ TEST_F(RouterTier, ReplicaMetricsAreMonotoneAcrossKillRevive) {
   EXPECT_EQ(router.observability_snapshot().counter_value("replica.0.submitted"),
             before);
   // ...and keep accumulating on the fresh service.
-  ASSERT_TRUE(router.submit((*sentences_)[2]).get().ok());
+  ASSERT_TRUE(router.submit((*sentences_)[2], {}).get().ok());
   EXPECT_EQ(router.observability_snapshot().counter_value("replica.0.submitted"),
             before + 1);
   router.stop();
@@ -303,7 +327,7 @@ TEST_F(RouterTier, HotSwapInvalidatesTheRetiredCacheGeneration) {
   other.save_mmap_file(path);
 
   Router router(*model_, small_config(1));
-  ASSERT_TRUE(router.submit(sentences_->front()).get().ok());
+  ASSERT_TRUE(router.submit(sentences_->front(), {}).get().ok());
   EXPECT_EQ(router.cache().size(), 1U);
 
   const std::string reply = router.admin("swap 0 " + path);
@@ -315,7 +339,7 @@ TEST_F(RouterTier, HotSwapInvalidatesTheRetiredCacheGeneration) {
 
   // The repeat is a miss now (new generation) and decodes under the new
   // weights — the swapped-in model is mmap'd, shared zero-copy.
-  auto response = router.submit(sentences_->front()).get();
+  auto response = router.submit(sentences_->front(), {}).get();
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response.coalesced);
   EXPECT_EQ(response.tags, other.decode_crf({sentences_->front()})[0]);
@@ -327,10 +351,11 @@ TEST_F(RouterTier, HotSwapInvalidatesTheRetiredCacheGeneration) {
 }
 
 TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
-  // The first batch stalls 150 ms, holding the old service's drain open
-  // for the whole swap. A poller must never find the replica down or
-  // refusing work in that window: a failover walk that met every replica
-  // mid-swap would answer UNAVAILABLE.
+  // The first batch stalls 150 ms, so the old generation still has work
+  // queued for 150 ms after the swap. A poller running from before the
+  // swap until that work resolves must never find the replica down or
+  // refusing work: a failover walk that met every replica mid-swap would
+  // answer UNAVAILABLE.
   util::FaultInjector::instance().configure("worker.stall=1:150:1", 3);
   serve::ServiceConfig config;
   config.workers = 1;
@@ -339,13 +364,13 @@ TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
   ReplicaSubmission stalled = replica.submit(sentences_->front(), {});
   ASSERT_TRUE(stalled.accepted);
 
-  std::atomic<bool> swapping{true};
+  std::atomic<bool> draining{true};
   std::atomic<std::size_t> polls{0};
   std::size_t unhealthy = 0;
   std::size_t refused = 0;
   std::vector<std::pair<std::size_t, std::future<serve::TagResponse>>> sent;
   std::thread poller([&] {
-    for (std::size_t i = 0; swapping.load(); ++i) {
+    for (std::size_t i = 0; draining.load(); ++i) {
       if (!replica.healthy()) ++unhealthy;
       const std::size_t idx = i % sentences_->size();
       ReplicaSubmission submission = replica.submit((*sentences_)[idx], {});
@@ -359,7 +384,8 @@ TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
   });
   while (polls.load() == 0) std::this_thread::yield();
   replica.swap_model(*model_);
-  swapping.store(false);
+  stalled.future.wait();
+  draining.store(false);
   poller.join();
   util::FaultInjector::instance().disable();
 
@@ -377,11 +403,12 @@ TEST_F(RouterTier, HotSwapKeepsReplicaHealthyAndAccepting) {
 }
 
 TEST_F(RouterTier, ReplicaCountersNeverDipWhileASwapDrains) {
-  // Five requests queue behind a 300 ms stall, so the old service is still
-  // draining while the swap waits on it. Its counters must stay visible
-  // the whole time: "submitted" read 5, then 0 mid-swap, then 5 again
-  // when the draining service was in neither the live slot nor the
-  // retired fold.
+  // Five requests queue behind a 300 ms stall, so the old generation is
+  // still decoding them after the swap returns. "submitted" is polled
+  // from before the swap until all five resolve and must never dip (it
+  // once read 5, then 0 mid-swap, then 5 again, while a draining worker
+  // pool's counters were in neither the live service nor the fold of
+  // retired ones).
   util::FaultInjector::instance().configure("worker.stall=1:300:1", 3);
   serve::ServiceConfig config;
   config.workers = 1;
@@ -394,28 +421,164 @@ TEST_F(RouterTier, ReplicaCountersNeverDipWhileASwapDrains) {
     futures.push_back(std::move(submission.future));
   }
   const auto submitted = [&] { return replica.metrics_snapshot().counter_value("submitted"); };
+  const auto all_resolved = [&] {
+    for (const auto& future : futures)
+      if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) return false;
+    return true;
+  };
   std::vector<std::uint64_t> readings{submitted()};
 
-  std::atomic<bool> swapped{false};
-  std::thread swapper([&] {
-    replica.swap_model(*model_);
-    swapped.store(true);
-  });
-  while (!swapped.load()) {
+  replica.swap_model(*model_);
+  while (!all_resolved()) {
     readings.push_back(submitted());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  swapper.join();
   readings.push_back(submitted());
   util::FaultInjector::instance().disable();
 
   EXPECT_EQ(readings.front(), 5U);
-  EXPECT_GT(readings.size(), 10U);  // polled while the drain was open
+  EXPECT_GT(readings.size(), 10U);  // polled while the old generation drained
   for (std::size_t i = 1; i < readings.size(); ++i)
     ASSERT_GE(readings[i], readings[i - 1]) << "reading " << i << " of " << readings.size();
   EXPECT_EQ(readings.back(), 5U);
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
   replica.stop();
+}
+
+/// The ids of this process's threads.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(entry.path().filename().string());
+  return ids;
+}
+
+TEST_F(RouterTier, SwapModelStartsNoThread) {
+  const auto& other = other_model();  // trained before the first reading
+  serve::ServiceConfig config;
+  config.workers = 2;
+  InProcessReplica replica(*model_, config);
+  const std::set<std::string> before = thread_ids();
+  for (std::size_t i = 0; i < 20; ++i) replica.swap_model(i % 2 == 0 ? other : *model_);
+  EXPECT_EQ(thread_ids(), before);
+
+  const serve::TagResponse response = replica.submit(sentences_->front(), {}).future.get();
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.fingerprint, (*model_)->fingerprint());
+  EXPECT_EQ(response.tags, expected_->front());
+  replica.stop();
+}
+
+TEST_F(RouterTier, SwapDoesNotWaitOnQueuedWork) {
+  const auto& other = other_model();
+  util::FaultInjector::instance().configure("worker.stall=1:300:1", 3);
+  serve::ServiceConfig config;
+  config.workers = 1;
+  InProcessReplica replica(*model_, config);
+  std::vector<std::future<serve::TagResponse>> futures;
+  for (std::size_t i = 0; i < 5; ++i) {
+    ReplicaSubmission submission = replica.submit((*sentences_)[i % sentences_->size()], {});
+    ASSERT_TRUE(submission.accepted);
+    futures.push_back(std::move(submission.future));
+  }
+
+  replica.swap_model(other);
+  EXPECT_NE(futures.front().wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(replica.fingerprint(), other->fingerprint());
+
+  // Queued work finishes under the generation it was admitted with.
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const serve::TagResponse response = futures[i].get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.fingerprint, (*model_)->fingerprint());
+    EXPECT_EQ(response.tags, (*expected_)[i % sentences_->size()]);
+  }
+  util::FaultInjector::instance().disable();
+  replica.stop();
+}
+
+TEST_F(RouterTier, CoalescingNeverCrossesAGeneration) {
+  const auto& other = other_model();
+  const std::vector<std::size_t> differing = differing_sentences();
+  ASSERT_FALSE(differing.empty());
+  const std::size_t x = differing.front();
+
+  // A 500 ms batch window holds the first request until the second
+  // arrives, so both ride one micro-batch that straddles the swap.
+  serve::ServiceConfig config;
+  config.workers = 1;
+  config.batching.max_delay = std::chrono::milliseconds(500);
+  InProcessReplica replica(*model_, config);
+  ReplicaSubmission first = replica.submit((*sentences_)[x], {});
+  replica.swap_model(other);
+  ReplicaSubmission second = replica.submit((*sentences_)[x], {});
+  ASSERT_TRUE(first.accepted);
+  ASSERT_TRUE(second.accepted);
+
+  const serve::TagResponse old_generation = first.future.get();
+  const serve::TagResponse new_generation = second.future.get();
+  ASSERT_TRUE(old_generation.ok()) << old_generation.error;
+  ASSERT_TRUE(new_generation.ok()) << new_generation.error;
+  EXPECT_EQ(old_generation.batch_size, 2U);
+  EXPECT_EQ(new_generation.batch_size, 2U);
+  EXPECT_EQ(old_generation.fingerprint, (*model_)->fingerprint());
+  EXPECT_EQ(old_generation.tags, (*expected_)[x]);
+  EXPECT_EQ(new_generation.fingerprint, other->fingerprint());
+  EXPECT_EQ(new_generation.tags, other_expected()[x]);
+  EXPECT_FALSE(new_generation.coalesced);
+  replica.stop();
+}
+
+TEST_F(RouterTier, ResponsesMatchTheGenerationTheyReportWhileSwapsRace) {
+  // TSAN coverage: one thread flips the replica between two generations
+  // while clients submit through the router with the cache on. Every
+  // answer, decoded or cached, must be the offline decode of the model
+  // whose fingerprint it reports; a cache entry keyed under the wrong
+  // generation would surface here after a swap back.
+  const auto& other = other_model();
+  const std::vector<std::size_t> differing = differing_sentences();
+  ASSERT_FALSE(differing.empty());
+  const std::uint64_t base_fingerprint = (*model_)->fingerprint();
+  const std::uint64_t other_fingerprint = other->fingerprint();
+
+  RouterConfig config = small_config(1);
+  config.replica_service.workers = 2;
+  config.replica_service.batching.max_delay = std::chrono::microseconds(100);
+  Router router(*model_, config);
+  std::atomic<bool> swapping{true};
+  std::thread swapper([&] {
+    for (std::size_t i = 0; i < 100; ++i) {
+      router.replica(0).swap_model(i % 2 == 0 ? other : *model_);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    swapping.store(false);
+  });
+
+  std::atomic<std::size_t> answered_by_base{0};
+  std::atomic<std::size_t> answered_by_other{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t r = 0; swapping.load() || r < 100; ++r) {
+        const std::size_t idx = differing[(c + r) % differing.size()];
+        const serve::TagResponse response = router.submit((*sentences_)[idx], {}).get();
+        ASSERT_TRUE(response.ok()) << response.error;
+        if (response.fingerprint == base_fingerprint) {
+          answered_by_base.fetch_add(1);
+          EXPECT_EQ(response.tags, (*expected_)[idx]) << "sentence " << idx;
+        } else {
+          ASSERT_EQ(response.fingerprint, other_fingerprint);
+          answered_by_other.fetch_add(1);
+          EXPECT_EQ(response.tags, other_expected()[idx]) << "sentence " << idx;
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  swapper.join();
+  EXPECT_GT(answered_by_base.load(), 0U);
+  EXPECT_GT(answered_by_other.load(), 0U);
+  router.stop();
 }
 
 TEST_F(RouterTier, AdminStatusListsReplicasAndRejectsNonsense) {
@@ -441,7 +604,7 @@ TEST_F(RouterTier, ConservationLawsHoldAfterMixedTraffic) {
   for (int round = 0; round < 5; ++round) {
     std::vector<std::future<serve::TagResponse>> futures;
     for (std::size_t i = 0; i < 10 && i < sentences_->size(); ++i)
-      futures.push_back(router.submit((*sentences_)[i]));
+      futures.push_back(router.submit((*sentences_)[i], {}));
     for (auto& future : futures) ASSERT_TRUE(future.get().ok());
     total += futures.size();
   }
@@ -490,7 +653,7 @@ TEST_F(RouterTier, ChaosKillReviveUnderLoadLosesNoRequestAndHidesShutdown) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < kRequests; ++r) {
         const auto& sentence = (*sentences_)[(c + r) % sentences_->size()];
-        auto response = router.submit(sentence).get();
+        auto response = router.submit(sentence, {}).get();
         // Every future resolves; replica-local SHUTDOWN never leaks.
         EXPECT_NE(response.status, serve::Status::kShutdown);
         if (response.ok()) {
@@ -563,7 +726,7 @@ TEST_F(RouterTier, OpenBreakerRoutesTrafficAroundReplica) {
         "replica." + std::to_string(i) + ".submitted");
   };
   for (const auto& sentence : *sentences_) {
-    auto response = router.submit(sentence).get();
+    auto response = router.submit(sentence, {}).get();
     ASSERT_TRUE(response.ok()) << response.error;
   }
   // Every request landed on the breaker-closed replica, none on the open
@@ -577,7 +740,7 @@ TEST_F(RouterTier, OpenBreakerRoutesTrafficAroundReplica) {
   // Fail-static: with EVERY breaker open, breakers are ignored — the tier
   // keeps serving rather than turning a monitoring failure into an outage.
   router.breakers().set_open(1, true);
-  EXPECT_TRUE(router.submit(sentences_->front()).get().ok());
+  EXPECT_TRUE(router.submit(sentences_->front(), {}).get().ok());
   router.stop();
 }
 
@@ -631,7 +794,7 @@ TEST_F(RouterTier, SupervisorProbeFaultOpensBreakerDeterministically) {
   EXPECT_TRUE(router.breakers().is_open(0));
   EXPECT_TRUE(router.breakers().is_open(1));
   // Fail-static keeps the tier answering while every breaker is open.
-  EXPECT_TRUE(router.submit(sentences_->front()).get().ok());
+  EXPECT_TRUE(router.submit(sentences_->front(), {}).get().ok());
 
   // Faults cleared: half-open probes close both breakers again.
   util::FaultInjector::instance().disable();
@@ -664,7 +827,7 @@ TEST_F(RouterTier, SupervisorThreadProbesConcurrentlyWithTraffic) {
   });
   std::size_t answered = 0;
   while (!done.load()) {
-    auto response = router.submit((*sentences_)[answered % sentences_->size()])
+    auto response = router.submit((*sentences_)[answered % sentences_->size()], {})
                         .get();
     if (response.ok()) ++answered;
   }

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,12 +32,19 @@ std::uint64_t histogram_count(const obs::RegistrySnapshot& snapshot,
   return 0;
 }
 
+[[nodiscard]] SubmitOptions with_deadline(std::chrono::milliseconds deadline) {
+  SubmitOptions options;
+  options.deadline = deadline;
+  return options;
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const auto data = corpus::generate_corpus(corpus::bc2gm_like_spec(0.08, 7));
-    model_ = new core::GraphNerModel(
-        core::GraphNerModel::train(data.train, {}, core::GraphNerConfig{}));
+    model_ = new std::shared_ptr<const core::GraphNerModel>(
+        std::make_shared<const core::GraphNerModel>(
+            core::GraphNerModel::train(data.train, {}, core::GraphNerConfig{})));
     sentences_ = new std::vector<text::Sentence>();
     for (const auto& s : data.test) {
       text::Sentence stripped;
@@ -45,7 +53,7 @@ class ServeTest : public ::testing::Test {
       sentences_->push_back(std::move(stripped));
     }
     expected_ = new std::vector<std::vector<text::Tag>>(
-        model_->decode_crf(*sentences_));
+        (*model_)->decode_crf(*sentences_));
   }
 
   static void TearDownTestSuite() {
@@ -54,12 +62,12 @@ class ServeTest : public ::testing::Test {
     delete model_;
   }
 
-  static const core::GraphNerModel* model_;
+  static std::shared_ptr<const core::GraphNerModel>* model_;
   static std::vector<text::Sentence>* sentences_;
   static std::vector<std::vector<text::Tag>>* expected_;
 };
 
-const core::GraphNerModel* ServeTest::model_ = nullptr;
+std::shared_ptr<const core::GraphNerModel>* ServeTest::model_ = nullptr;
 std::vector<text::Sentence>* ServeTest::sentences_ = nullptr;
 std::vector<std::vector<text::Tag>>* ServeTest::expected_ = nullptr;
 
@@ -119,7 +127,7 @@ TEST_F(ServeTest, MicroBatchingCoalescesBurstTraffic) {
   std::vector<std::future<TagResponse>> futures;
   futures.reserve(kBurst);
   for (std::size_t i = 0; i < kBurst; ++i)
-    futures.push_back(service.submit((*sentences_)[i % sentences_->size()]));
+    futures.push_back(service.submit((*sentences_)[i % sentences_->size()], {}));
   std::size_t max_batch_seen = 0;
   for (auto& future : futures) {
     const auto response = future.get();
@@ -147,7 +155,7 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   std::vector<std::future<TagResponse>> futures;
   futures.reserve(kBurst);
   for (std::size_t i = 0; i < kBurst; ++i)
-    futures.push_back(service.submit(sentence));
+    futures.push_back(service.submit(sentence, {}));
   std::size_t coalesced = 0;
   for (auto& future : futures) {
     const auto response = future.get();
@@ -168,7 +176,7 @@ TEST_F(ServeTest, CoalescesDuplicateRequestsWithinBatch) {
   TaggingService plain_service(*model_, plain);
   std::vector<std::future<TagResponse>> plain_futures;
   for (std::size_t i = 0; i < 8; ++i)
-    plain_futures.push_back(plain_service.submit(sentence));
+    plain_futures.push_back(plain_service.submit(sentence, {}));
   for (auto& future : plain_futures) EXPECT_FALSE(future.get().coalesced);
   EXPECT_EQ(plain_service.metrics().counter_value("coalesced"), 0U);
 }
@@ -184,7 +192,7 @@ TEST_F(ServeTest, BoundedQueueRejectsWithStructuredOverload) {
   std::vector<std::future<TagResponse>> futures;
   futures.reserve(kFlood);
   for (std::size_t i = 0; i < kFlood; ++i)
-    futures.push_back(service.submit((*sentences_)[i % sentences_->size()]));
+    futures.push_back(service.submit((*sentences_)[i % sentences_->size()], {}));
   std::size_t ok = 0;
   std::size_t overloaded = 0;
   for (auto& future : futures) {
@@ -212,12 +220,12 @@ TEST_F(ServeTest, GracefulStopDrainsQueuedWorkAndRejectsNewWork) {
 
   std::vector<std::future<TagResponse>> futures;
   for (std::size_t i = 0; i < 32; ++i)
-    futures.push_back(service.submit((*sentences_)[i % sentences_->size()]));
+    futures.push_back(service.submit((*sentences_)[i % sentences_->size()], {}));
   service.stop();
 
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());  // drained
 
-  const auto rejected = service.submit((*sentences_)[0]).get();
+  const auto rejected = service.submit((*sentences_)[0], {}).get();
   EXPECT_EQ(rejected.status, Status::kShutdown);
   EXPECT_EQ(service.metrics().counter_value("rejected_shutdown"), 1U);
 }
@@ -361,7 +369,7 @@ TEST_F(ServeTest, DeadlinedRequestsAreShedBeforeDecode) {
   futures.reserve(kN);
   for (std::size_t i = 0; i < kN; ++i)
     futures.push_back(service.submit((*sentences_)[i % sentences_->size()],
-                                     std::chrono::milliseconds(20)));
+                                     with_deadline(std::chrono::milliseconds(20))));
   for (auto& future : futures) {
     const auto response = future.get();
     EXPECT_EQ(response.status, Status::kDeadlineExceeded);
@@ -394,14 +402,14 @@ TEST_F(ServeTest, DegradedModeFallsBackToPlainViterbiAndRecovers) {
   const auto& sentence = (*sentences_)[0];
   crf::LinearChainCrf::Scratch scratch;
   features::EncodeScratch encode;
-  const auto blended = model_->decode_one_blended(sentence, scratch, encode);
+  const auto blended = (*model_)->decode_one_blended(sentence, scratch, encode);
   const auto& plain = (*expected_)[0];
 
   constexpr std::size_t kFlood = 24;
   std::vector<std::future<TagResponse>> futures;
   futures.reserve(kFlood);
   for (std::size_t i = 0; i < kFlood; ++i)
-    futures.push_back(service.submit(sentence));
+    futures.push_back(service.submit(sentence, {}));
   std::size_t degraded_count = 0;
   for (auto& future : futures) {
     const auto response = future.get();
@@ -446,7 +454,7 @@ TEST_F(ServeTest, PushRacingShutdownResolvesEveryFuture) {
     producers.emplace_back([&, p] {
       for (std::size_t i = 0; i < kPerProducer; ++i)
         futures[p].push_back(
-            service.submit((*sentences_)[(p + i) % sentences_->size()]));
+            service.submit((*sentences_)[(p + i) % sentences_->size()], {}));
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -491,7 +499,7 @@ TEST_F(ServeTest, OverloadFloodWithDeadlinesResolvesAllRequests) {
   futures.reserve(kFlood);
   for (std::size_t i = 0; i < kFlood; ++i)
     futures.push_back(service.submit((*sentences_)[i % sentences_->size()],
-                                     std::chrono::milliseconds(1)));
+                                     with_deadline(std::chrono::milliseconds(1))));
   std::size_t ok = 0, overloaded = 0, expired = 0;
   for (auto& future : futures) {
     const auto response = future.get();
@@ -528,7 +536,7 @@ TEST_F(ServeTest, AbandonedFuturesDoNotBlockDrainOrStop) {
   // future immediately and stop. Workers set promises nobody waits on.
   constexpr std::size_t kN = 16;
   for (std::size_t i = 0; i < kN; ++i) {
-    auto abandoned = service.submit((*sentences_)[i % sentences_->size()]);
+    auto abandoned = service.submit((*sentences_)[i % sentences_->size()], {});
     (void)abandoned;  // destroyed here, before the response exists
   }
   service.stop();
@@ -549,7 +557,7 @@ TEST(ServeQueue, ShutdownRaceLosesNoAcceptedRequest) {
   BatchPolicy policy;
   policy.max_batch = 4;
   policy.max_delay = std::chrono::microseconds(200);
-  BatchQueue queue(policy);
+  BatchQueue queue(policy, nullptr);
 
   std::atomic<std::size_t> accepted{0};
   std::atomic<std::size_t> rejected{0};
